@@ -20,6 +20,8 @@ logger = logging.getLogger(__name__)
 
 # pair keys (u * node_count + v) are packed into signed 64-bit integers
 _MAX_NODES = 2**31
+# external node ids are stored as signed 64-bit integers
+_ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 
 
 class GraphFormatError(ValueError):
@@ -293,6 +295,9 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
                 w = parsed
         for e in (a, b):
             if e not in index_of:
+                if not _ID_MIN <= e <= _ID_MAX:
+                    raise GraphFormatError(
+                        f"line {lineno}: node id {e} is outside the signed 64-bit range")
                 index_of[e] = len(ext_ids)
                 ext_ids.append(e)
         if a == b:

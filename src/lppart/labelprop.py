@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _csr_from_canonical
+from lppart.graph import PartitionMap, WeightedGraph
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -60,6 +60,11 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     reaches ``p_ratio`` or its single per-round uniform draw (keyed on the
     endpoint pair) falls below ``p_bound``. A degree-1 node's only edge has
     relative weight 1 from its side and is therefore always retained.
+
+    Both arcs of an edge carry the identical weight, so each arc evaluates
+    the whole undirected rule from its own two endpoints. The resulting mask
+    is symmetric: filtering the (source, target)-sorted arc arrays by it keeps
+    both arcs of every surviving edge, in order, with no re-sort.
     """
     if g.arc_count == 0:
         return g
@@ -67,21 +72,20 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     dst = g.neighbor_targets
     w = g.edge_weights
     wdeg = np.bincount(src, weights=w, minlength=g.node_count)
-    keep = (w / wdeg[src]) >= params.p_ratio
-
-    u = np.minimum(src, dst)
-    v = np.maximum(src, dst)
+    keep = ((w / wdeg[src]) >= params.p_ratio) | ((w / wdeg[dst]) >= params.p_ratio)
     if params.p_bound > 0.0:
-        keep = keep | (edge_uniform(params.seed, iteration, u, v) < params.p_bound)
+        draws = edge_uniform(params.seed, iteration, np.minimum(src, dst), np.maximum(src, dst))
+        keep |= draws < params.p_bound
+    offsets = np.zeros(g.node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=g.node_count), out=offsets[1:])
+    return WeightedGraph(g.node_count, offsets, dst[keep], w[keep], g.node_values)
 
-    # collapse the two directional decisions of each undirected edge with OR
-    order = np.argsort(u * np.int64(g.node_count) + v, kind="stable")
-    k = keep[order]
-    survive = k[0::2] | k[1::2]
-    eu = u[order][0::2][survive]
-    ev = v[order][0::2][survive]
-    ew = w[order][0::2][survive]
-    return _csr_from_canonical(g.node_count, eu, ev, ew, node_values=g.node_values)
+
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal consecutive keys."""
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
 
 
 def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:
@@ -97,11 +101,20 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     Isolated nodes keep their label. A node's own label gets no vote of its
     own.
 
+    Arcs are grouped by one stable sort on (node, label), so each score sums
+    its contributions in adjacency order. The groups come out node-major, and
+    one maximum over each node's segment of groups gives its best score. A
+    node whose current label reaches it keeps that label; a node with a
+    single maximizer takes it; only the nodes left with several tied
+    candidates sort those candidates by (node, hash, label) and take the
+    first.
+
     With ``plain=True`` the vote degrades to classic frequency counting:
     weights and node values are ignored and ties always go to the smallest
-    label id. On bipartite graphs this mode flip-flops with period 2 from a
-    two-sided initialization, which is exactly the failure the pruning rounds
-    exist to avoid.
+    label id, the first maximizer of the node's label-sorted segment. On
+    bipartite graphs this mode flip-flops with period 2 from a two-sided
+    initialization, which is exactly the failure the pruning rounds exist to
+    avoid.
     """
     labels = np.asarray(state.labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
@@ -123,20 +136,29 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
         order = np.argsort(src * np.int64(lab_span) + lab, kind="stable")
     else:
         order = np.lexsort((lab, src))
-    s_s, l_s, c_s = src[order], lab[order], contrib[order]
-    boundary = np.concatenate(([True], (s_s[1:] != s_s[:-1]) | (l_s[1:] != l_s[:-1])))
-    starts = np.flatnonzero(boundary)
-    scores = np.add.reduceat(c_s, starts)
+    s_s, l_s = src[order], lab[order]
+    starts = np.flatnonzero(_run_heads(s_s) | _run_heads(l_s))
+    scores = np.add.reduceat(contrib[order], starts)
     g_src = s_s[starts]
     g_lab = l_s[starts]
 
+    # one segment per voting node; groups inside a segment ascend by label
+    seg_first = _run_heads(g_src)
+    seg = np.cumsum(seg_first) - 1
+    best = np.maximum.reduceat(scores, np.flatnonzero(seg_first))
+    cand = np.flatnonzero(scores == best[seg])
+    c_seg = seg[cand]
+    lowest = cand[_run_heads(c_seg)]  # smallest maximizing label per segment
     if plain:
-        pick = np.lexsort((g_lab, -scores, g_src))
+        winners = lowest
     else:
-        keep_current = (g_lab != labels[g_src]).astype(np.int8)
-        pick = np.lexsort((g_lab, pair_hash64(g_src, g_lab), keep_current, -scores, g_src))
-    first = np.concatenate(([True], g_src[pick][1:] != g_src[pick][:-1]))
-    winners = pick[first]
+        n_max = np.bincount(c_seg, minlength=len(best))
+        tied = n_max > 1
+        tied[c_seg[g_lab[cand] == labels[g_src[cand]]]] = False  # current label kept
+        single = lowest[n_max[seg[lowest]] == 1]
+        rest = cand[tied[c_seg]]
+        pick = rest[np.lexsort((g_lab[rest], pair_hash64(g_src[rest], g_lab[rest]), seg[rest]))]
+        winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
     new_labels[g_src[winners]] = g_lab[winners]
     return LabelState(new_labels, state.iteration + 1)
 

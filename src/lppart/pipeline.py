@@ -1,12 +1,12 @@
 """End-to-end partitioning pipeline plus subgraph sampling and coarse export.
 
 The pipeline alternates label propagation with edge-mode coarsening for a
-fixed number of levels, re-coarsens the last level in node mode so that every
-coarse node carries its original-graph mass, hands the small coarse graph to
-the balanced k-way finisher, and composes the per-level maps back onto the
-original nodes. When propagation finds fewer communities than requested
-parts, the largest parts are split in place on their induced original
-subgraphs until exactly k parts exist.
+fixed number of levels, coarsens the last level in node mode instead so that
+every coarse node carries its original-graph mass, hands the small coarse
+graph to the balanced k-way finisher, and composes the per-level maps back
+onto the original nodes. When propagation finds fewer communities than
+requested parts, the largest parts are split in place on their induced
+original subgraphs until exactly k parts exist.
 """
 
 from __future__ import annotations
@@ -79,22 +79,23 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
     warnings: list[str] = []
 
     work = g
-    prev = g
-    parts_last: PartitionMap | None = None
-    t0 = time.perf_counter()
+    lp_s = coarsen_s = 0.0
     for level in range(cfg.outer_t + 1):
         lp = replace(cfg.lp, seed=derive_seed(cfg.lp.seed, "lp-level", level))
+        t0 = time.perf_counter()
         parts_last = multilevel_label_prop(work, lp)
+        lp_s += time.perf_counter() - t0
         level_maps.append(parts_last)
         level_sizes.append({"nodes": work.node_count, "edges": work.edge_count,
                             "communities": parts_last.num_parts})
-        prev = work
-        work = coarsen(parts_last, MODE_EDGE, work).graph
-    timings["label_prop_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    cg_node = coarsen(parts_last, MODE_NODE, prev)
-    timings["coarsen_ms"] = (time.perf_counter() - t0) * 1000.0
+        t0 = time.perf_counter()
+        if level < cfg.outer_t:
+            work = coarsen(parts_last, MODE_EDGE, work).graph
+        else:
+            cg_node = coarsen(parts_last, MODE_NODE, work)
+        coarsen_s += time.perf_counter() - t0
+    timings["label_prop_ms"] = lp_s * 1000.0
+    timings["coarsen_ms"] = coarsen_s * 1000.0
 
     composed = level_maps[0].assignment
     for pm in level_maps[1:]:
@@ -129,8 +130,10 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
 
     parts = PartitionMap(final, cfg.k)
     sizes = parts.part_sizes()
-    for pid in np.flatnonzero(sizes < cfg.min_subgraph_warn):
-        msg = f"part {int(pid)} has {int(sizes[pid])} nodes (< {cfg.min_subgraph_warn})"
+    small = np.flatnonzero(sizes < cfg.min_subgraph_warn)
+    if len(small):
+        listed = ", ".join(f"part {int(pid)} ({int(sizes[pid])})" for pid in small)
+        msg = f"{len(small)} part(s) have fewer than {cfg.min_subgraph_warn} nodes: {listed}"
         warnings.append(msg)
         logger.warning("%s", msg)
 

@@ -138,6 +138,16 @@ def test_malformed_input_exit_code(tmp_path):
                 "--out", str(tmp_path / "p.tsv")]) == 1
 
 
+def test_node_id_outside_int64_is_a_format_error(tmp_path, capsys):
+    graph = tmp_path / "big.tsv"
+    graph.write_text("9223372036854775808\t1\t1.0\n")
+    assert run(["partition", "--input", str(graph), "--k", "1",
+                "--out", str(tmp_path / "p.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 1" in err
+    assert "Traceback" not in err
+
+
 def test_help_lists_flags_with_defaults(capsys):
     from lppart.cli import _build_parser
     with pytest.raises(SystemExit) as exc:

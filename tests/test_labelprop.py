@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import from_edges
+from lppart.graph import WeightedGraph, _csr_from_canonical, from_edges
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
+from lppart.seeding import edge_uniform, pair_hash64
 
 
 def _edge_set(g):
@@ -14,7 +15,6 @@ def _edge_set(g):
 
 def _vote_reference(g, labels, order, plain=False):
     """Sequential synchronous vote used as an oracle; ``order`` must not matter."""
-    from lppart.seeding import pair_hash64
     new = labels.copy()
     for i in order:
         scores = {}
@@ -35,6 +35,73 @@ def _vote_reference(g, labels, order, plain=False):
                                  np.asarray(winners, dtype=np.int64))
             new[i] = winners[int(np.lexsort((winners, hashes))[0])]
     return new
+
+
+# Verbatim copies of the sort-based vote and prune that the segment-max vote
+# and the mask-filter prune replaced; the sweep below requires identical bytes.
+def _sorted_edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> WeightedGraph:
+    """Pre-rewrite pruning (argsort pair collapse, CSR rebuilt by sorting); oracle only."""
+    if g.arc_count == 0:
+        return g
+    src = g.arc_sources()
+    dst = g.neighbor_targets
+    w = g.edge_weights
+    wdeg = np.bincount(src, weights=w, minlength=g.node_count)
+    keep = (w / wdeg[src]) >= params.p_ratio
+
+    u = np.minimum(src, dst)
+    v = np.maximum(src, dst)
+    if params.p_bound > 0.0:
+        keep = keep | (edge_uniform(params.seed, iteration, u, v) < params.p_bound)
+
+    # collapse the two directional decisions of each undirected edge with OR
+    order = np.argsort(u * np.int64(g.node_count) + v, kind="stable")
+    k = keep[order]
+    survive = k[0::2] | k[1::2]
+    eu = u[order][0::2][survive]
+    ev = v[order][0::2][survive]
+    ew = w[order][0::2][survive]
+    return _csr_from_canonical(g.node_count, eu, ev, ew, node_values=g.node_values)
+
+
+def _sorted_vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:
+    """Pre-rewrite vote (5-key lexsort over all groups); oracle only."""
+    labels = np.asarray(state.labels, dtype=np.int64)
+    if labels.shape != (g.node_count,):
+        raise ValueError("label array does not match graph")
+    new_labels = labels.copy()
+    if g.arc_count == 0:
+        return LabelState(new_labels, state.iteration + 1)
+
+    src = g.arc_sources()
+    dst = g.neighbor_targets
+    if plain:
+        contrib = np.ones(g.arc_count, dtype=np.float64)
+    else:
+        contrib = g.edge_weights / g.node_values[dst]
+    lab = labels[dst]
+
+    lab_span = int(lab.max()) + 1 if len(lab) else 1
+    if lab_span < 2**62 // max(g.node_count, 1) and lab.min() >= 0:
+        order = np.argsort(src * np.int64(lab_span) + lab, kind="stable")
+    else:
+        order = np.lexsort((lab, src))
+    s_s, l_s, c_s = src[order], lab[order], contrib[order]
+    boundary = np.concatenate(([True], (s_s[1:] != s_s[:-1]) | (l_s[1:] != l_s[:-1])))
+    starts = np.flatnonzero(boundary)
+    scores = np.add.reduceat(c_s, starts)
+    g_src = s_s[starts]
+    g_lab = l_s[starts]
+
+    if plain:
+        pick = np.lexsort((g_lab, -scores, g_src))
+    else:
+        keep_current = (g_lab != labels[g_src]).astype(np.int8)
+        pick = np.lexsort((g_lab, pair_hash64(g_src, g_lab), keep_current, -scores, g_src))
+    first = np.concatenate(([True], g_src[pick][1:] != g_src[pick][:-1]))
+    winners = pick[first]
+    new_labels[g_src[winners]] = g_lab[winners]
+    return LabelState(new_labels, state.iteration + 1)
 
 
 def test_retention_four_cycle_drops_weak_edges():
@@ -206,7 +273,6 @@ def test_params_validation():
 
 def test_retention_matches_full_rule_oracle_with_random_bound():
     # survival rule: either endpoint clears p_ratio, or the per-edge draw wins
-    from lppart.seeding import edge_uniform
     rng = np.random.default_rng(63)
     for trial in range(10):
         n = int(rng.integers(5, 40))
@@ -226,7 +292,6 @@ def test_retention_matches_full_rule_oracle_with_random_bound():
 
 
 def test_edge_uniform_is_deterministic_and_well_spread():
-    from lppart.seeding import edge_uniform
     u = np.repeat(np.arange(200, dtype=np.int64), 200)
     v = np.tile(np.arange(200, dtype=np.int64), 200)
     a = edge_uniform(7, 0, u, v)
@@ -251,3 +316,73 @@ def test_vote_handles_huge_label_values():
     out = vote_update(g, LabelState(big.copy()))
     fwd = _vote_reference(g, big, range(4))
     assert np.array_equal(out.labels, fwd)
+
+
+def _oracle_graphs():
+    """Seeded sweep: weighted, unweighted (mass ties), node values, isolated nodes."""
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        n = int(rng.integers(2, 120))
+        m = int(rng.integers(0, 4 * n))
+        kind = trial % 4
+        if kind == 1:  # unweighted: every round is full of exact ties
+            w = None
+        elif kind == 3:  # few distinct weights: ties between summed scores
+            w = rng.choice([0.25, 0.5, 1.0], m)
+        else:
+            w = rng.uniform(0.05, 2.0, m)
+        # the top 10% of ids never get an edge, so isolated nodes are common
+        span = max(1, int(n * 0.9))
+        g = from_edges(n, rng.integers(0, span, m), rng.integers(0, span, m), w)
+        if trial % 3 == 2:
+            g = g.with_node_values(rng.integers(1, 7, n))
+        yield trial, g, rng
+
+
+def _oracle_label_sets(g, rng):
+    n = g.node_count
+    yield np.arange(n, dtype=np.int64)
+    yield rng.integers(0, max(2, n // 8), n)  # few labels: the current label often ties
+    yield rng.integers(0, 3, n) * np.int64(2**61) + rng.integers(0, 2, n)  # huge labels
+
+
+def test_vote_matches_sort_oracle_bit_for_bit():
+    for trial, g, rng in _oracle_graphs():
+        for labels in _oracle_label_sets(g, rng):
+            for plain in (False, True):
+                want = _sorted_vote_update(g, LabelState(labels.copy()), plain=plain)
+                got = vote_update(g, LabelState(labels.copy()), plain=plain)
+                assert got.labels.dtype == want.labels.dtype
+                assert np.array_equal(got.labels, want.labels), (trial, plain)
+                assert got.iteration == want.iteration
+
+
+def _assert_same_graph(got, want):
+    for name in ("neighbor_offsets", "neighbor_targets", "edge_weights", "node_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.node_count == want.node_count
+
+
+def test_retention_matches_sort_oracle_bit_for_bit():
+    for trial, g, rng in _oracle_graphs():
+        for ratio, bound in ((0.5, 0.1), (0.3, 0.0), (0.9, 0.5), (1.0, 1.0), (0.0, 0.0)):
+            params = LpParams(p_ratio=ratio, p_bound=bound, seed=trial)
+            for iteration in (0, 3):
+                _assert_same_graph(edge_retention(g, params, iteration),
+                                   _sorted_edge_retention(g, params, iteration))
+
+
+def test_label_prop_rounds_match_sort_oracle():
+    # chained rounds feed pruned graphs and voted labels back in, as LP does
+    for trial, g, rng in _oracle_graphs():
+        params = LpParams(seed=trial)
+        state = want = LabelState.initial(g)
+        work = want_work = g
+        for it in range(4):
+            state = vote_update(work, state)
+            want = _sorted_vote_update(want_work, want)
+            assert np.array_equal(state.labels, want.labels), (trial, it)
+            work = edge_retention(work, params, it)
+            want_work = _sorted_edge_retention(want_work, params, it)
+            _assert_same_graph(work, want_work)

@@ -1,9 +1,11 @@
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 
+from lppart.coarsen import coarsen
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import IdMap, PartitionMap, from_edges
 from lppart.kway import InfeasibleError
@@ -98,7 +100,25 @@ def test_composition_soundness_through_levels():
 def test_small_part_warnings_emitted():
     g = _disjoint_cliques(2, 8)
     result = partition_graph(g, PartitionConfig(k=2, min_subgraph_warn=100))
-    assert sum("nodes" in w for w in result.warnings) == 2
+    small = [w for w in result.warnings if "nodes" in w]
+    assert small == ["2 part(s) have fewer than 100 nodes: part 0 (8), part 1 (8)"]
+
+
+def test_stage_timings_charge_every_coarsen_call_to_coarsen_ms(monkeypatch):
+    calls = []
+
+    def slow_coarsen(parts, mode, g):
+        calls.append(mode)
+        time.sleep(0.05)
+        return coarsen(parts, mode, g)
+
+    monkeypatch.setattr("lppart.pipeline.coarsen", slow_coarsen)
+    g = generate(GeneratorSpec("planted_partition", (4, 30, 0.5, 0.01), seed=3))
+    result = partition_graph(g, PartitionConfig(k=4))
+    assert calls == ["edge", "edge", "node"]  # no edge-mode call after the last level
+    timings = result.timings_ms
+    assert timings["coarsen_ms"] >= 150.0
+    assert timings["label_prop_ms"] < timings["coarsen_ms"]
 
 
 def test_errors_for_infeasible_and_empty():
