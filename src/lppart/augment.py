@@ -16,7 +16,8 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph, _csr_from_canonical
+from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _csr_from_canonical, _read_text,
+                          _write_lines, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -99,37 +100,37 @@ def lowest_pagerank_nodes(g: WeightedGraph, fraction: float,
 
 
 def refine_structure(g: WeightedGraph, fraction: float = 0.05, mode: str = "nodes",
-                     params: PagerankParams = PagerankParams()) -> WeightedGraph:
+                     params: PagerankParams = PagerankParams()) -> tuple[WeightedGraph, IdMap]:
     """Drop the least influential slice of the graph.
 
     ``nodes`` mode removes the lowest-PageRank ``ceil(fraction * |V|)`` nodes
     with their incident edges; ``edges`` mode removes the
     ``ceil(fraction * |E|)`` lightest edges (ties by endpoint pair order).
+    Returns the refined graph plus an IdMap from its indices to ``g``'s
+    (the identity in ``edges`` mode, which keeps every node).
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError("fraction must lie in [0, 1)")
     if mode == "nodes":
         doomed = lowest_pagerank_nodes(g, fraction, params)
         keep = np.setdiff1d(np.arange(g.node_count, dtype=np.int64), doomed)
-        sub, _ = induced_subgraph(g, keep)
-        return sub
-    if mode == "edges":
-        u, v, w = g.edge_array()
-        count = math.ceil(fraction * len(u))
-        if count == 0:
-            return g
-        order = np.lexsort((v, u, w))
-        keep = np.sort(order[count:])
-        return _csr_from_canonical(g.node_count, u[keep], v[keep], w[keep],
-                                   node_values=g.node_values)
-    raise ValueError(f"mode must be 'nodes' or 'edges', got {mode!r}")
+        return induced_subgraph(g, keep)
+    if mode != "edges":
+        raise ValueError(f"mode must be 'nodes' or 'edges', got {mode!r}")
+    u, v, w = g.edge_array()
+    count = math.ceil(fraction * len(u))
+    if count:
+        keep = np.sort(np.lexsort((v, u, w))[count:])
+        g = _csr_from_canonical(g.node_count, u[keep], v[keep], w[keep],
+                                node_values=g.node_values)
+    return g, IdMap.identity(g.node_count)
 
 
-def aggregate_features(g: WeightedGraph, parts: PartitionMap, feats: FeatureTable,
+def aggregate_features(parts: PartitionMap, feats: FeatureTable,
                        op: str = "mean") -> FeatureTable:
     """Aggregate member rows into one row per part (mean by default)."""
-    if len(feats) != g.node_count:
-        raise ValueError("feature table does not cover the graph")
+    if len(feats) != len(parts):
+        raise ValueError("feature table does not cover the partition map")
     if op not in ("mean", "sum"):
         raise ValueError(f"op must be 'mean' or 'sum', got {op!r}")
     k = parts.num_parts
@@ -161,38 +162,27 @@ def write_feature_table(table: FeatureTable, dest: str | Path | IO,
     lines = [f"#dim {table.dimension}\n"]
     for i, row in zip(ids, table.rows):
         lines.append(f"{i}\t" + "\t".join(repr(float(x)) for x in row) + "\n")
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        dest.writelines(lines)
+    _write_lines(dest, lines)
 
 
 def read_feature_table(source: str | Path | IO) -> tuple[FeatureTable, np.ndarray]:
-    """Read a feature TSV; returns the table plus the id column."""
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "rb")
-        close = True
-    else:
-        fh = source
-    try:
-        data = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Read a feature TSV; returns the table plus the id column.
+
+    The row width comes from the ``#dim F`` header or, without one, from the
+    first row; a row of any other width is an error naming its line.
+    """
     dim = None
     ids: list[int] = []
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(data.split("\n"), 1):
+    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "dim":
+                if not fields[1].isdigit() or (rows and int(fields[1]) != dim):
+                    raise ValueError(f"line {lineno}: malformed '#dim' header")
                 dim = int(fields[1])
             continue
         fields = line.split("\t")
@@ -201,7 +191,9 @@ def read_feature_table(source: str | Path | IO) -> tuple[FeatureTable, np.ndarra
             rows.append([float(x) for x in fields[1:]])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed feature row") from None
-        if dim is not None and len(rows[-1]) != dim:
+        if dim is None:
+            dim = len(rows[-1])
+        elif len(rows[-1]) != dim:
             raise ValueError(f"line {lineno}: expected {dim} feature value(s)")
     if not rows:
         raise ValueError("empty feature table")

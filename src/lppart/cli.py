@@ -15,18 +15,18 @@ import time
 import numpy as np
 
 from lppart import __version__
-from lppart.augment import (PagerankParams, aggregate_features, concat_global,
-                            lowest_pagerank_nodes, pagerank, read_feature_table,
-                            refine_structure, write_feature_table)
+from lppart.augment import (PagerankParams, aggregate_features, concat_global, pagerank,
+                            read_feature_table, refine_structure, write_feature_table)
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import (GraphFormatError, IdMap, from_edges, induced_subgraph,
-                          load_edge_list, write_edge_list)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _write_lines, load_edge_list,
+                          write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
-from lppart.pipeline import (PartitionConfig, partition_graph, read_partition_file,
-                             sample_subgraphs, write_manifest, write_partition_file)
+from lppart.pipeline import (PartitionConfig, _read_partition_pairs, partition_graph,
+                             read_partition_file, sample_subgraphs, write_manifest,
+                             write_partition_file)
 
 logger = logging.getLogger("lppart.cli")
 
@@ -166,60 +166,38 @@ def _cmd_coarsen(args) -> int:
 
 def _cmd_refine(args) -> int:
     g, id_map = load_edge_list(args.input)
-    params = PagerankParams(alpha=args.alpha)
-    if args.mode == "nodes":
-        doomed = lowest_pagerank_nodes(g, args.fraction, params)
-        keep = np.setdiff1d(np.arange(g.node_count, dtype=np.int64), doomed)
-        sub, sub_map = induced_subgraph(g, keep)
-        out_ids = IdMap(id_map.external_ids[sub_map.external_ids])
-        write_edge_list(sub, args.out, out_ids)
-        logger.info("removed %d node(s)", len(doomed))
-    else:
-        refined = refine_structure(g, args.fraction, mode="edges", params=params)
-        write_edge_list(refined, args.out, id_map)
-        logger.info("removed %d edge(s)", g.edge_count - refined.edge_count)
+    refined, kept = refine_structure(g, args.fraction, args.mode, PagerankParams(alpha=args.alpha))
+    write_edge_list(refined, args.out, IdMap(id_map.external_ids[kept.external_ids]))
+    logger.info("removed %d node(s) and %d edge(s)",
+                g.node_count - refined.node_count, g.edge_count - refined.edge_count)
     return 0
 
 
 def _cmd_pagerank(args) -> int:
     g, id_map = load_edge_list(args.input)
     scores = pagerank(g, PagerankParams(alpha=args.alpha))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        for i, s in enumerate(scores):
-            fh.write(f"{id_map.external_ids[i]}\t{float(s)!r}\n")
+    _write_lines(args.out, (f"{e}\t{float(s)!r}\n" for e, s in zip(id_map.external_ids, scores)))
     return 0
 
 
 def _cmd_sample(args) -> int:
-    with open(args.parts, "rb") as fh:
-        data = fh.read().decode("utf-8")
-    ids = sorted({int(line.split("\t")[0]) for line in data.split("\n")
-                  if line.strip() and not line.startswith("#")})
-    if not ids:
+    last_part = dict(_read_partition_pairs(args.parts))  # a repeated id keeps its last part
+    if not last_part:
         raise GraphFormatError("empty partition file")
-    id_map = IdMap(np.asarray(ids, dtype=np.int64))
-    parts = read_partition_file(args.parts, id_map)
-    for pid in sample_subgraphs(parts, args.ratio, args.seed):
+    assign = np.fromiter(last_part.values(), dtype=np.int64)
+    for pid in sample_subgraphs(PartitionMap(assign, int(assign.max()) + 1), args.ratio, args.seed):
         print(int(pid))
     return 0
 
 
-def _read_parts_for_ids(parts_path: str, ids: np.ndarray):
-    id_map = IdMap(ids)
-    return read_partition_file(parts_path, id_map)
-
-
 def _cmd_features(args) -> int:
     table, ids = read_feature_table(args.features)
-    parts = _read_parts_for_ids(args.parts, ids)
+    parts = read_partition_file(args.parts, IdMap(ids))
     if args.features_command == "aggregate":
-        g = from_edges(len(ids), [], [])
-        agg = aggregate_features(g, parts, table, op=args.op)
-        write_feature_table(agg, args.out)
+        write_feature_table(aggregate_features(parts, table, op=args.op), args.out)
     else:
         global_table, _ = read_feature_table(args.global_features)
-        joined = concat_global(table, global_table, parts)
-        write_feature_table(joined, args.out, ids=ids)
+        write_feature_table(concat_global(table, global_table, parts), args.out, ids=ids)
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _csr_from_canonical, write_edge_list
+from lppart.graph import PartitionMap, WeightedGraph, _merge_edges, _write_lines, write_edge_list
 
 MODE_EDGE = "edge"
 MODE_NODE = "node"
@@ -58,19 +58,8 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     pv = assign[v]
     intra = pu == pv
     self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
-
-    cu = np.minimum(pu[~intra], pv[~intra])
-    cv = np.maximum(pu[~intra], pv[~intra])
-    cw = w[~intra]
-    if len(cu):
-        key = cu * np.int64(m) + cv
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        cw = np.add.reduceat(cw[order], starts)
-        cu = cu[order[starts]]
-        cv = cv[order[starts]]
-    coarse = _csr_from_canonical(m, cu, cv, cw, node_values=values)
+    # intra-part pairs become self-loops, which the merge drops
+    coarse = _merge_edges(m, pu, pv, w, node_values=values)
     return CoarseGraph(coarse, self_loop, parts)
 
 
@@ -78,10 +67,5 @@ def write_coarse_graph(cg: CoarseGraph, edges_dest: str | Path | IO,
                        values_dest: str | Path | IO) -> None:
     """Write the coarse edge list plus a ``id<TAB>value<TAB>self_loop`` table."""
     write_edge_list(cg.graph, edges_dest)
-    lines = [f"{i}\t{int(val)}\t{float(sl)!r}\n"
-             for i, (val, sl) in enumerate(zip(cg.graph.node_values, cg.self_loop_weight))]
-    if isinstance(values_dest, (str, Path)):
-        with open(values_dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        values_dest.writelines(lines)
+    rows = enumerate(zip(cg.graph.node_values, cg.self_loop_weight))
+    _write_lines(values_dest, [f"{i}\t{int(val)}\t{float(sl)!r}\n" for i, (val, sl) in rows])

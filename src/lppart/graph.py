@@ -144,6 +144,25 @@ class PartitionMap:
         return np.bincount(self.assignment, minlength=self.num_parts)
 
 
+def _read_text(source: str | Path | IO) -> str:
+    """Whole contents of a path, a binary handle (decoded as UTF-8) or a text handle."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    else:
+        data = source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def _write_lines(dest: str | Path | IO, lines) -> None:
+    """Write text lines to a path (UTF-8, no newline translation) or a text handle."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    else:
+        dest.writelines(lines)
+
+
 def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                         node_values: np.ndarray | None = None,
                         planted_blocks: np.ndarray | None = None) -> WeightedGraph:
@@ -160,6 +179,29 @@ def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.nda
     else:
         node_values = np.asarray(node_values, dtype=np.int64)
     return WeightedGraph(node_count, offsets, dst, ww, node_values, planted_blocks)
+
+
+def _merge_edges(node_count: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                 node_values: np.ndarray | None = None,
+                 planted_blocks: np.ndarray | None = None) -> WeightedGraph:
+    """Build a graph from index pairs: self-loops are dropped, parallel edges summed.
+
+    Pairs are grouped by a stable sort on ``u * node_count + v``, so the merged
+    weights depend only on the order of the input.
+    """
+    u = np.minimum(src, dst)
+    v = np.maximum(src, dst)
+    keep = u != v
+    u, v, w = u[keep], v[keep], w[keep]
+    if len(u):
+        key = u * np.int64(node_count) + v
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+        w = np.add.reduceat(w[order], starts)
+        u = u[order[starts]]
+        v = v[order[starts]]
+    return _csr_from_canonical(node_count, u, v, w, node_values, planted_blocks)
 
 
 def from_edges(node_count: int, src, dst, weight=None, node_values=None,
@@ -186,21 +228,7 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None,
             raise ValueError("node index out of range")
         if not np.all(np.isfinite(weight)) or weight.min() <= 0:
             raise ValueError("edge weights must be finite and positive")
-
-    u = np.minimum(src, dst)
-    v = np.maximum(src, dst)
-    keep = u != v
-    u, v, w = u[keep], v[keep], weight[keep]
-
-    if len(u):
-        key = u * np.int64(node_count) + v
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        w = np.add.reduceat(w[order], starts)
-        u = u[order[starts]]
-        v = v[order[starts]]
-    return _csr_from_canonical(node_count, u, v, w, node_values, planted_blocks)
+    return _merge_edges(node_count, src, dst, weight, node_values, planted_blocks)
 
 
 def validate_graph(g: WeightedGraph) -> None:
@@ -248,20 +276,6 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
     any weight column is ignored and every edge gets weight 1.0. Internal
     indices are assigned in first-appearance order.
     """
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "rb")
-        close = True
-    else:
-        fh = source
-    try:
-        data = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-
     index_of: dict[int, int] = {}
     ext_ids: list[int] = []
     srcs: list[int] = []
@@ -269,7 +283,7 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
     wts: list[float] = []
     self_loops = 0
 
-    for lineno, raw in enumerate(data.split("\n"), 1):
+    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -319,43 +333,20 @@ def write_edge_list(g: WeightedGraph, dest: str | Path | IO, id_map: IdMap | Non
     """Write canonical undirected edges as ``src<TAB>dst<TAB>weight`` lines."""
     u, v, w = g.edge_array()
     ext = id_map.external_ids if id_map is not None else np.arange(g.node_count, dtype=np.int64)
-    lines = [f"{ext[a]}\t{ext[b]}\t{float(ww)!r}\n" for a, b, ww in zip(u, v, w)]
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        dest.writelines(lines)
+    _write_lines(dest, [f"{ext[a]}\t{ext[b]}\t{float(ww)!r}\n" for a, b, ww in zip(u, v, w)])
 
 
 def write_node_set(nodes, dest: str | Path | IO, id_map: IdMap | None = None) -> None:
     """Write a node set as one external id per line."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     ids = id_map.external_ids[nodes] if id_map is not None else nodes
-    lines = [f"{i}\n" for i in ids]
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        dest.writelines(lines)
+    _write_lines(dest, [f"{i}\n" for i in ids])
 
 
 def read_node_set(source: str | Path | IO) -> np.ndarray:
     """Read a one-id-per-line node set; returns sorted unique external ids."""
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "rb")
-        close = True
-    else:
-        fh = source
-    try:
-        data = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     ids = []
-    for lineno, raw in enumerate(data.split("\n"), 1):
+    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

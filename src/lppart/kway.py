@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lppart.coarsen import CoarseGraph
-from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph, _csr_from_canonical
+from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph, _merge_edges
 from lppart.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -88,20 +88,7 @@ def _contract(g: WeightedGraph, pairs: np.ndarray) -> tuple[WeightedGraph, np.nd
     values = np.bincount(fmap, weights=g.node_values.astype(np.float64),
                          minlength=len(uniq)).astype(np.int64)
     u, v, w = g.edge_array()
-    cu, cv = fmap[u], fmap[v]
-    keep = cu != cv
-    a = np.minimum(cu[keep], cv[keep])
-    b = np.maximum(cu[keep], cv[keep])
-    w = w[keep]
-    if len(a):
-        key = a * np.int64(len(uniq)) + b
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        w = np.add.reduceat(w[order], starts)
-        a = a[order[starts]]
-        b = b[order[starts]]
-    return _csr_from_canonical(len(uniq), a, b, w, node_values=values), fmap
+    return _merge_edges(len(uniq), fmap[u], fmap[v], w, node_values=values), fmap
 
 
 def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:

@@ -23,7 +23,8 @@ from typing import IO
 import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
-from lppart.graph import IdMap, PartitionMap, WeightedGraph, induced_subgraph
+from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _read_text, _write_lines,
+                          induced_subgraph)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
@@ -159,31 +160,12 @@ def export_coarse(g: WeightedGraph, parts: PartitionMap) -> CoarseGraph:
 def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | IO) -> None:
     """Write ``external_node_id<TAB>part_id`` lines in internal node order."""
     ext = id_map.external_ids
-    lines = [f"{ext[i]}\t{parts.assignment[i]}\n" for i in range(len(parts))]
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        dest.writelines(lines)
+    _write_lines(dest, [f"{ext[i]}\t{parts.assignment[i]}\n" for i in range(len(parts))])
 
 
-def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
-    """Read a partition file; every graph node must be assigned."""
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "rb")
-        close = True
-    else:
-        fh = source
-    try:
-        data = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    assign = np.full(len(id_map), -1, dtype=np.int64)
-    for lineno, raw in enumerate(data.split("\n"), 1):
+def _read_partition_pairs(source: str | Path | IO):
+    """Yield ``(external_id, part_id)`` for each data line of a partition file."""
+    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -191,10 +173,16 @@ def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'node_id<TAB>part_id'")
         try:
-            ext = int(fields[0])
-            part = int(fields[1])
+            pair = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: ids must be integers") from None
+        yield pair
+
+
+def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
+    """Read a partition file; every graph node must be assigned."""
+    assign = np.full(len(id_map), -1, dtype=np.int64)
+    for ext, part in _read_partition_pairs(source):
         assign[id_map.to_internal(ext)] = part
     if (assign < 0).any():
         missing = int((assign < 0).sum())

@@ -267,7 +267,7 @@ def test_criterion_7_pagerank_properties():
         assert scores == pytest.approx(dense, abs=1e-9)
 
         g = generate(GeneratorSpec("random_weighted", (40, 160, 0.1, 1.0), seed=11))
-        refined = refine_structure(g, 0.05, mode="nodes")
+        refined, _ = refine_structure(g, 0.05, mode="nodes")
         assert refined.node_count == 40 - math.ceil(0.05 * 40)
     except AssertionError:
         _fail(7, name)

@@ -83,7 +83,7 @@ def test_refine_nodes_removes_exact_count_of_lowest_scores():
         g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
                        rng.uniform(0.1, 2.0, m))
         frac = float(rng.choice([0.05, 0.1, 0.25]))
-        refined = refine_structure(g, frac, mode="nodes")
+        refined, _ = refine_structure(g, frac, mode="nodes")
         removed = math.ceil(frac * n)
         assert refined.node_count == n - removed
         scores = pagerank(g)
@@ -101,7 +101,7 @@ def test_refine_removes_unique_lowest_pendant():
     g = from_edges(20, u, v)
     scores = pagerank(g)
     assert np.argmin(scores) == 19
-    refined = refine_structure(g, 0.05, mode="nodes")
+    refined, _ = refine_structure(g, 0.05, mode="nodes")
     assert refined.node_count == 19  # ceil(0.05 * 20) = 1
     assert refined.edge_count == 19  # the ring survives intact
 
@@ -109,14 +109,14 @@ def test_refine_removes_unique_lowest_pendant():
 def test_refine_fraction_zero_is_identity():
     g = generate(GeneratorSpec("random_weighted", (20, 40, 0.1, 1.0), seed=2))
     for mode in ("nodes", "edges"):
-        refined = refine_structure(g, 0.0, mode=mode)
+        refined, _ = refine_structure(g, 0.0, mode=mode)
         assert refined.node_count == g.node_count
         assert refined.edge_count == g.edge_count
 
 
 def test_refine_edges_drops_lightest():
     g = from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], [0.5, 0.1, 0.9, 0.7])
-    refined = refine_structure(g, 0.25, mode="edges")  # ceil(0.25*4) = 1
+    refined, _ = refine_structure(g, 0.25, mode="edges")  # ceil(0.25*4) = 1
     assert refined.edge_count == 3
     _, _, w = refined.edge_array()
     assert 0.1 not in w.tolist()
@@ -134,9 +134,9 @@ def test_aggregate_mean_and_sum():
     g = from_edges(4, [0, 2], [1, 3])
     parts = PartitionMap(np.array([0, 0, 1, 1]), 2)
     feats = FeatureTable(np.array([[1.0], [3.0], [10.0], [20.0]]))
-    mean = aggregate_features(g, parts, feats)
+    mean = aggregate_features(parts, feats)
     assert mean.rows.tolist() == [[2.0], [15.0]]
-    total = aggregate_features(g, parts, feats, op="sum")
+    total = aggregate_features(parts, feats, op="sum")
     assert total.rows.tolist() == [[4.0], [30.0]]
 
 
@@ -144,7 +144,7 @@ def test_aggregate_identical_rows_yield_that_row():
     g = from_edges(3, [0, 1], [1, 2])
     parts = PartitionMap(np.zeros(3, dtype=int), 1)
     feats = FeatureTable(np.tile([2.5, -1.0], (3, 1)))
-    agg = aggregate_features(g, parts, feats)
+    agg = aggregate_features(parts, feats)
     assert agg.rows.tolist() == [[2.5, -1.0]]
 
 
@@ -153,7 +153,7 @@ def test_aggregate_sum_conserves_column_totals():
     g = from_edges(30, rng.integers(0, 30, 50), rng.integers(0, 30, 50))
     parts = PartitionMap(rng.integers(0, 5, 30), 5)
     feats = FeatureTable(rng.normal(size=(30, 4)))
-    agg = aggregate_features(g, parts, feats, op="sum")
+    agg = aggregate_features(parts, feats, op="sum")
     assert agg.rows.sum(axis=0) == pytest.approx(feats.rows.sum(axis=0), rel=1e-9)
 
 
@@ -161,7 +161,7 @@ def test_aggregate_dimension_mismatch():
     g = from_edges(3, [0], [1])
     parts = PartitionMap(np.zeros(3, dtype=int), 1)
     with pytest.raises(ValueError):
-        aggregate_features(g, parts, FeatureTable(np.zeros((2, 3))))
+        aggregate_features(parts, FeatureTable(np.zeros((2, 3))))
 
 
 def test_concat_global_shapes_and_round_trip():
@@ -207,5 +207,5 @@ def test_aggregate_tolerates_empty_parts():
     g = from_edges(2, [0], [1])
     parts = PartitionMap(np.array([0, 2]), 3)  # part 1 is empty
     feats = FeatureTable(np.array([[4.0], [8.0]]))
-    agg = aggregate_features(g, parts, feats)
+    agg = aggregate_features(parts, feats)
     assert agg.rows.tolist() == [[4.0], [0.0], [8.0]]

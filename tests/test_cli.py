@@ -184,3 +184,58 @@ def test_manifest_stable_except_timestamps(tmp_path):
         m.pop("created_utc")
         m.pop("timings_ms")
     assert manifests[0] == manifests[1]
+
+
+# non-contiguous external ids, listed out of numeric order
+_SPARSE_GRAPH = ("100\t7\t0.5\n7\t42\t1.5\n42\t9\t0.25\n9\t55\t2.0\n"
+                 "55\t100\t1.0\n100\t42\t0.75\n")
+
+
+def test_refine_and_pagerank_keep_external_ids(tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(_SPARSE_GRAPH)
+    outputs = {}
+    for mode in ("nodes", "edges"):
+        out = tmp_path / f"refined-{mode}.tsv"
+        assert run(["refine", "--input", str(graph), "--fraction", "0.2", "--mode", mode,
+                    "--out", str(out)]) == 0
+        outputs[mode] = _read(out)
+    scores = tmp_path / "pr.tsv"
+    assert run(["pagerank", "--input", str(graph), "--out", str(scores)]) == 0
+    outputs["pagerank"] = _read(scores)
+    assert outputs == {
+        "nodes": "100\t42\t0.75\n100\t55\t1.0\n42\t9\t0.25\n9\t55\t2.0\n",
+        "edges": "100\t42\t0.75\n100\t55\t1.0\n7\t42\t1.5\n9\t55\t2.0\n",
+        "pagerank": ("100\t0.24369645043170976\n7\t0.1680946552383403\n"
+                     "42\t0.24369645043170976\n9\t0.17225622194911996\n"
+                     "55\t0.17225622194911996\n"),
+    }
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0\t1.0\t2.0\n1\t3.0\n", "line 2"),            # ragged rows, no #dim header
+    ("#dim x\n0\t1.0\n", "line 1"),                # header width is not an integer
+])
+def test_features_malformed_table_names_the_line(tmp_path, capsys, text, line):
+    feats = tmp_path / "f.tsv"
+    parts = tmp_path / "p.tsv"
+    feats.write_text(text)
+    parts.write_text("0\t0\n1\t0\n")
+    assert run(["features", "aggregate", "--features", str(feats), "--parts", str(parts),
+                "--out", str(tmp_path / "agg.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and line in err
+
+
+def test_sample_malformed_line_is_named(tmp_path, capsys):
+    parts = tmp_path / "p.tsv"
+    parts.write_text("1\t0\nx\t1\n")
+    assert run(["sample", "--parts", str(parts)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_sample_repeated_id_keeps_its_last_part(tmp_path, capsys):
+    parts = tmp_path / "p.tsv"
+    parts.write_text("0\t0\n1\t0\n1\t5\n")
+    assert run(["sample", "--parts", str(parts), "--ratio", "1.0"]) == 0
+    assert capsys.readouterr().out.split() == [str(i) for i in range(6)]
