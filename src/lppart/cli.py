@@ -24,7 +24,7 @@ from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _write_lines, l
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
-from lppart.pipeline import (PartitionConfig, _read_partition_pairs, partition_graph,
+from lppart.pipeline import (PartitionConfig, _read_partition_rows, partition_graph,
                              read_partition_file, sample_subgraphs, write_manifest,
                              write_partition_file)
 
@@ -181,7 +181,8 @@ def _cmd_pagerank(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    last_part = dict(_read_partition_pairs(args.parts))  # a repeated id keeps its last part
+    # a repeated id keeps its last part
+    last_part = {ext: part for _, ext, part in _read_partition_rows(args.parts)}
     if not last_part:
         raise GraphFormatError("empty partition file")
     assign = np.fromiter(last_part.values(), dtype=np.int64)

@@ -5,8 +5,8 @@ nodes is the summed weight of all edges joining the two partitions, and
 intra-partition edge mass is kept as a per-coarse-node self-loop weight so
 that total edge mass is conserved exactly. The modes differ only in the value
 attached to each coarse node: "edge" counts the nodes of the input graph in
-the partition (one level back), "node" sums their node values (all the way
-back to the original graph).
+the partition (one level back), "node" sums their node values, which are
+original-graph mass only if the input graph's values carry it.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.coarsen import CoarseGraph
-from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph, _merge_edges
+from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
+from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph
 from lppart.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -85,10 +85,7 @@ def _contract(g: WeightedGraph, pairs: np.ndarray) -> tuple[WeightedGraph, np.nd
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     rep[hi] = lo
     uniq, fmap = np.unique(rep, return_inverse=True)
-    values = np.bincount(fmap, weights=g.node_values.astype(np.float64),
-                         minlength=len(uniq)).astype(np.int64)
-    u, v, w = g.edge_array()
-    return _merge_edges(len(uniq), fmap[u], fmap[v], w, node_values=values), fmap
+    return coarsen(PartitionMap(fmap, len(uniq)), MODE_NODE, g).graph, fmap
 
 
 def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:

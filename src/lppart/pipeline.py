@@ -1,12 +1,12 @@
 """End-to-end partitioning pipeline plus subgraph sampling and coarse export.
 
-The pipeline alternates label propagation with edge-mode coarsening for a
-fixed number of levels, coarsens the last level in node mode instead so that
-every coarse node carries its original-graph mass, hands the small coarse
-graph to the balanced k-way finisher, and composes the per-level maps back
-onto the original nodes. When propagation finds fewer communities than
-requested parts, the largest parts are split in place on their induced
-original subgraphs until exactly k parts exist.
+The pipeline alternates label propagation with edge-mode coarsening for up to
+``outer_t + 1`` levels, carrying each coarse node's original-graph mass. It
+stops early, with a ``fallback`` warning, when the next coarse graph would
+have fewer than k nodes or a node heavier than the per-part cap
+``(1 + epsilon) * ceil(W / k)``; level 0 always qualifies. The balanced k-way
+finisher splits the deepest qualifying graph, valued by original mass, and
+its parts are composed back through the per-level maps onto the original nodes.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import IO
 import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
-from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _read_text, _write_lines,
-                          induced_subgraph)
+from lppart.graph import (_ID_MAX, _ID_MIN, IdMap, PartitionMap, WeightedGraph, _read_text,
+                          _write_lines)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
@@ -37,7 +37,7 @@ class PartitionConfig:
     """Full pipeline configuration.
 
     ``outer_t`` is the inclusive bound of the propagate-then-coarsen loop:
-    the pipeline builds ``outer_t + 1`` levels, mirroring the inner
+    the pipeline builds at most ``outer_t + 1`` levels, mirroring the inner
     propagation loop's bound semantics.
     """
 
@@ -59,11 +59,11 @@ class PipelineResult:
     """Final assignment plus everything the run manifest records."""
 
     parts: PartitionMap
-    level_maps: list[PartitionMap]
-    final_coarse_parts: PartitionMap | None
+    level_maps: list[PartitionMap]  # the maps the finisher's input was coarsened through
+    final_coarse_parts: PartitionMap
     level_sizes: list[dict]
     timings_ms: dict[str, float]
-    fallback_splits: int
+    fallback_splits: int  # levels the stop rule skipped: outer_t + 1 - len(level_maps)
     warnings: list[str]
 
 
@@ -74,72 +74,60 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
     if cfg.k > g.node_count:
         raise InfeasibleError(f"k={cfg.k} exceeds node count {g.node_count}")
 
+    cap = (1.0 + cfg.bisect.epsilon) * math.ceil(int(g.node_values.sum()) / cfg.k)
     timings: dict[str, float] = {}
     level_sizes: list[dict] = []
     level_maps: list[PartitionMap] = []
     warnings: list[str] = []
 
     work = g
+    mass = g.node_values  # original-node mass of each node of ``work``
     lp_s = coarsen_s = 0.0
     for level in range(cfg.outer_t + 1):
         lp = replace(cfg.lp, seed=derive_seed(cfg.lp.seed, "lp-level", level))
         t0 = time.perf_counter()
-        parts_last = multilevel_label_prop(work, lp)
+        lp_parts = multilevel_label_prop(work, lp)
         lp_s += time.perf_counter() - t0
-        level_maps.append(parts_last)
         level_sizes.append({"nodes": work.node_count, "edges": work.edge_count,
-                            "communities": parts_last.num_parts})
+                            "communities": lp_parts.num_parts})
+        coarse_mass = np.bincount(lp_parts.assignment, weights=mass, minlength=lp_parts.num_parts)
+        if lp_parts.num_parts < cfg.k or coarse_mass.max() > cap:
+            warnings.append(f"fallback: level {level} found {lp_parts.num_parts} communities "
+                            f"(k={cfg.k}), the heaviest of mass {int(coarse_mass.max())} "
+                            f"(cap {cap:.1f}); k-way runs on the level-{level} graph")
+            break
         t0 = time.perf_counter()
-        if level < cfg.outer_t:
-            work = coarsen(parts_last, MODE_EDGE, work).graph
-        else:
-            cg_node = coarsen(parts_last, MODE_NODE, work)
+        work = coarsen(lp_parts, MODE_EDGE, work).graph
         coarsen_s += time.perf_counter() - t0
+        mass = coarse_mass
+        level_maps.append(lp_parts)
     timings["label_prop_ms"] = lp_s * 1000.0
     timings["coarsen_ms"] = coarsen_s * 1000.0
 
-    composed = level_maps[0].assignment
-    for pm in level_maps[1:]:
-        composed = pm.assignment[composed]
-
-    m_final = parts_last.num_parts
-    fallback_splits = 0
-    final_coarse_parts: PartitionMap | None = None
     t0 = time.perf_counter()
-    if m_final >= cfg.k:
-        final_coarse_parts = kway_partition(cg_node, cfg.k, cfg.bisect)
-        final = final_coarse_parts.assignment[composed]
-    else:
-        logger.warning("propagation found %d communities < k=%d; splitting largest parts",
-                       m_final, cfg.k)
-        warnings.append(f"community count {m_final} < k={cfg.k}: fallback splitting engaged")
-        final = composed.copy()
-        num = m_final
-        while num < cfg.k:
-            sizes = np.bincount(final, minlength=num)
-            order = np.lexsort((np.arange(num), -sizes))
-            pid = next(int(p) for p in order if sizes[p] >= 2)
-            nodes = np.flatnonzero(final == pid)
-            sub, _ = induced_subgraph(g, nodes)
-            sub = sub.with_node_values(np.ones(sub.node_count, dtype=np.int64))
-            split_cfg = replace(cfg.bisect, seed=derive_seed(cfg.bisect.seed, "fallback", num))
-            halves = kway_partition(CoarseGraph.wrap(sub), 2, split_cfg)
-            final[nodes[halves.assignment == 1]] = num
-            num += 1
-            fallback_splits += 1
+    final_coarse_parts = kway_partition(CoarseGraph.wrap(work.with_node_values(mass)),
+                                        cfg.k, cfg.bisect)
     timings["kway_ms"] = (time.perf_counter() - t0) * 1000.0
+    final = final_coarse_parts.assignment
+    for pm in reversed(level_maps):
+        final = final[pm.assignment]
 
     parts = PartitionMap(final, cfg.k)
+    part_mass = np.bincount(final, weights=g.node_values, minlength=cfg.k)
     sizes = parts.part_sizes()
-    small = np.flatnonzero(sizes < cfg.min_subgraph_warn)
-    if len(small):
-        listed = ", ".join(f"part {int(pid)} ({int(sizes[pid])})" for pid in small)
-        msg = f"{len(small)} part(s) have fewer than {cfg.min_subgraph_warn} nodes: {listed}"
-        warnings.append(msg)
+    flagged_parts = ((part_mass, part_mass > cap, f"exceed the per-part mass cap {cap:.1f}"),
+                     (sizes, sizes < cfg.min_subgraph_warn,
+                      f"have fewer than {cfg.min_subgraph_warn} nodes"))
+    for values, flagged, what in flagged_parts:
+        pids = np.flatnonzero(flagged)
+        if len(pids):
+            listed = ", ".join(f"part {int(pid)} ({int(values[pid])})" for pid in pids)
+            warnings.append(f"{len(pids)} part(s) {what}: {listed}")
+    for msg in warnings:
         logger.warning("%s", msg)
 
-    return PipelineResult(parts, level_maps, final_coarse_parts, level_sizes,
-                          timings, fallback_splits, warnings)
+    return PipelineResult(parts, level_maps, final_coarse_parts, level_sizes, timings,
+                          cfg.outer_t + 1 - len(level_maps), warnings)
 
 
 def sample_subgraphs(parts: PartitionMap, ratio: float, seed: int) -> np.ndarray:
@@ -163,8 +151,8 @@ def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | 
     _write_lines(dest, [f"{ext[i]}\t{parts.assignment[i]}\n" for i in range(len(parts))])
 
 
-def _read_partition_pairs(source: str | Path | IO):
-    """Yield ``(external_id, part_id)`` for each data line of a partition file."""
+def _read_partition_rows(source: str | Path | IO):
+    """Yield ``(line_number, external_id, part_id)`` for each data line of a partition file."""
     for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -173,17 +161,25 @@ def _read_partition_pairs(source: str | Path | IO):
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'node_id<TAB>part_id'")
         try:
-            pair = int(fields[0]), int(fields[1])
+            ext, part = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: ids must be integers") from None
-        yield pair
+        for name, value in (("node", ext), ("part", part)):
+            if not _ID_MIN <= value <= _ID_MAX:
+                raise ValueError(
+                    f"line {lineno}: {name} id {value} is outside the signed 64-bit range")
+        yield lineno, ext, part
 
 
 def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
     """Read a partition file; every graph node must be assigned."""
     assign = np.full(len(id_map), -1, dtype=np.int64)
-    for ext, part in _read_partition_pairs(source):
-        assign[id_map.to_internal(ext)] = part
+    for lineno, ext, part in _read_partition_rows(source):
+        try:
+            index = id_map.to_internal(ext)
+        except KeyError:
+            raise ValueError(f"line {lineno}: unknown node id {ext}") from None
+        assign[index] = part
     if (assign < 0).any():
         missing = int((assign < 0).sum())
         raise ValueError(f"partition file is not total: {missing} node(s) unassigned")

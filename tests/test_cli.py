@@ -239,3 +239,32 @@ def test_sample_repeated_id_keeps_its_last_part(tmp_path, capsys):
     parts.write_text("0\t0\n1\t0\n1\t5\n")
     assert run(["sample", "--parts", str(parts), "--ratio", "1.0"]) == 0
     assert capsys.readouterr().out.split() == [str(i) for i in range(6)]
+
+
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+@pytest.mark.parametrize("text, name", [
+    ("0\t9223372036854775808\n", "part"),
+    ("-9223372036854775809\t0\n", "node"),
+])
+def test_partition_file_id_outside_int64_is_named(tmp_path, capsys, command, text, name):
+    graph = tmp_path / "g.tsv"
+    parts = tmp_path / "p.tsv"
+    graph.write_text("0\t1\t1.0\n")
+    parts.write_text("1\t0\n" + text)
+    argv = {"sample": ["sample", "--parts", str(parts)],
+            "metrics": ["metrics", "--input", str(graph), "--parts", str(parts),
+                        "--json", str(tmp_path / "r.json")]}[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: line 2: {name} id" in err and "outside the signed 64-bit range" in err
+    assert "Traceback" not in err
+
+
+def test_metrics_names_the_line_of_an_unknown_node_id(tmp_path, capsys):
+    graph = tmp_path / "g.tsv"
+    parts = tmp_path / "p.tsv"
+    graph.write_text("0\t1\t1.0\n")
+    parts.write_text("0\t0\n1\t0\n5\t1\n")
+    assert run(["metrics", "--input", str(graph), "--parts", str(parts),
+                "--json", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: line 3: unknown node id 5\n"

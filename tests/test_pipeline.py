@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from lppart.coarsen import coarsen
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import IdMap, PartitionMap, from_edges
-from lppart.kway import InfeasibleError
+from lppart.kway import InfeasibleError, kway_partition
 from lppart.labelprop import LpParams
 from lppart.metrics import edge_cut, std_dev
 from lppart.pipeline import (PartitionConfig, export_coarse, manifest_dict, partition_graph,
@@ -83,13 +84,57 @@ def test_fallback_splits_when_communities_are_scarce():
     assert np.all(result.parts.part_sizes() > 0)
     assert result.fallback_splits > 0
     assert any("fallback" in w for w in result.warnings)
+    # without the cap rule the finisher gets a level holding a 15-node community
+    assert result.parts.part_sizes().max() <= 1.1 * math.ceil(30 / 4)
+
+
+def test_fallback_star_parts_stay_balanced():
+    n, k = 5000, 4
+    g = from_edges(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+    result = partition_graph(g, PartitionConfig(k=k))
+    sizes = result.parts.part_sizes()
+    assert result.fallback_splits > 0
+    assert sizes.min() >= n / (2 * k)
+    # each of kway's two bisection levels may add epsilon to its share
+    assert sizes.max() <= 1.1 ** 2 * math.ceil(n / k)
+
+
+def test_finisher_values_are_original_node_mass(monkeypatch):
+    seen = []
+
+    def capture(cg, k, cfg):
+        seen.append(cg.graph.node_values.copy())
+        return kway_partition(cg, k, cfg)
+
+    monkeypatch.setattr("lppart.pipeline.kway_partition", capture)
+    rng = np.random.default_rng(5)
+    n, m = 600, 3000
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m),
+                   node_values=rng.integers(1, 4, n))
+    result = partition_graph(g, PartitionConfig(k=4, lp=LpParams(seed=5)))
+    assert len(result.level_maps) == 3 and result.fallback_splits == 0
+    composed = result.level_maps[0].assignment
+    for pm in result.level_maps[1:]:
+        composed = pm.assignment[composed]
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.bincount(composed, weights=g.node_values))
+
+
+def test_over_cap_parts_are_named_in_warnings():
+    # a heavy hub no bisection can balance: node 0 carries 40 of the 49 mass units
+    values = np.ones(10, dtype=np.int64)
+    values[0] = 40
+    g = from_edges(10, np.zeros(9, dtype=np.int64), np.arange(1, 10), node_values=values)
+    result = partition_graph(g, PartitionConfig(k=2, lp=LpParams(seed=1)))
+    cap = 1.1 * math.ceil(49 / 2)
+    over = [w for w in result.warnings if "exceed" in w]
+    heavy = int(np.argmax(np.bincount(result.parts.assignment, weights=values)))
+    assert over == [f"1 part(s) exceed the per-part mass cap {cap:.1f}: part {heavy} (40)"]
 
 
 def test_composition_soundness_through_levels():
     g = generate(GeneratorSpec("planted_partition", (6, 40, 0.4, 0.02), seed=9))
     result = partition_graph(g, PartitionConfig(k=6, lp=LpParams(seed=9)))
-    if result.final_coarse_parts is None:
-        pytest.skip("fallback path engaged; no single final coarse map")
     composed = result.level_maps[0].assignment
     for pm in result.level_maps[1:]:
         composed = pm.assignment[composed]
@@ -114,8 +159,10 @@ def test_stage_timings_charge_every_coarsen_call_to_coarsen_ms(monkeypatch):
 
     monkeypatch.setattr("lppart.pipeline.coarsen", slow_coarsen)
     g = generate(GeneratorSpec("planted_partition", (4, 30, 0.5, 0.01), seed=3))
-    result = partition_graph(g, PartitionConfig(k=4))
-    assert calls == ["edge", "edge", "node"]  # no edge-mode call after the last level
+    # k=2 keeps all three levels; at k=4 the cap rule stops before the third coarsen
+    result = partition_graph(g, PartitionConfig(k=2))
+    assert result.fallback_splits == 0
+    assert calls == ["edge"] * 3
     timings = result.timings_ms
     assert timings["coarsen_ms"] >= 150.0
     assert timings["label_prop_ms"] < timings["coarsen_ms"]
