@@ -1,11 +1,21 @@
-"""Balanced k-way partitioning of small graphs by multilevel recursive bisection.
+"""Balanced k-way partitioning by one multilevel hierarchy (Karypis & Kumar's
+multilevel k-way scheme).
 
-Used as the finishing stage on coarse graphs: each bisection coarsens by
-heavy-edge matching, seeds an initial split by greedy region growing from a
-peripheral node (packing whole connected components where possible), then
-projects back level by level applying boundary moves that strictly reduce cut
-weight while respecting a per-side node-value cap. Self-loop mass on coarse
-nodes is ignored; balance is measured on node values.
+Used as the finishing stage on coarse graphs. ``kway_partition`` coarsens its
+input once by handshake matching (each free node proposes its best free
+neighbour, rated by edge weight over the product of the two node values, and
+mutual proposals merge) until the graph is small. Only that coarsest graph is
+split, by recursive bisection: greedy component packing or region growing
+from a peripheral node, then the same rebalance and refine steps used on the
+way up. The parts are then projected back level by level, and at each level
+an array-wide step first moves nodes out of parts above their cap, cheapest
+cut damage per unit value first, then applies batches of cut-reducing
+boundary moves filtered as in Jet (Gilbert et al., arXiv:2304.13194).
+
+Every cap derives from one root per-part cap ``(1 + epsilon) * ceil(W / k)``,
+``W`` the total node value: a side that will hold ``k_s`` parts may carry
+``k_s`` times it, so epsilon does not compound down the recursion. Balance is
+measured on node values; self-loop mass on coarse nodes is ignored.
 """
 
 from __future__ import annotations
@@ -19,11 +29,16 @@ import numpy as np
 
 from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
 from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph
-from lppart.seeding import derive_seed
+from lppart.labelprop import _run_heads
+from lppart.seeding import derive_seed, edge_uniform
 
 logger = logging.getLogger(__name__)
 
 _COARSEST_NODES = 48
+_COARSEST_PER_PART = 20
+# grids are matched after 4 rounds, but dense graphs still match about a seventh
+# of their nodes in rounds 5 and 6; fewer matches leave more, larger levels to hold
+_MATCH_ROUNDS = 6
 
 
 class InfeasibleError(ValueError):
@@ -32,7 +47,11 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class BisectConfig:
-    """Knobs for the recursive bisection stage."""
+    """Knobs for the k-way stage.
+
+    ``max_coarsen_levels`` bounds the depth of the matching hierarchy and
+    ``refine_passes`` the refinement rounds at each level.
+    """
 
     epsilon: float = 0.1
     seed: int = 42
@@ -46,46 +65,64 @@ class BisectConfig:
             raise ValueError("level and pass counts must be >= 1")
 
 
-def heavy_edge_matching(g: WeightedGraph, seed: int) -> np.ndarray:
-    """Greedy matching: visit nodes in seeded random order, pair each
-    unmatched node with its heaviest-edge unmatched neighbor (ties to the
-    smallest neighbor index). Returns an (m, 2) array of matched pairs;
-    unmatched nodes stay singletons.
+def heavy_edge_matching(g: WeightedGraph, seed: int, max_mass: float = math.inf) -> np.ndarray:
+    """Handshake matching over a fixed number of rounds.
+
+    In each round every unmatched node proposes to the unmatched neighbour
+    with the highest rating ``w(u, v) / (value(u) * value(v))``, skipping
+    neighbours whose combined value would exceed ``max_mass``; ties go to the
+    larger ``edge_uniform(seed, round, min(u, v), max(u, v))``, then to the
+    smaller neighbour index. Mutual proposals are matched. Returns an
+    ``(m, 2)`` array of pairs ``(u, v)`` with ``u < v``, ordered by round
+    then ``u``; unmatched nodes stay singletons.
     """
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(g.node_count)
+    mass = g.node_values.astype(np.float64)
+    src = g.arc_sources()
+    dst = g.neighbor_targets
+    keep = mass[src] + mass[dst] <= max_mass
+    src, dst = src[keep], dst[keep]
+    rating = g.edge_weights[keep] / (mass[src] * mass[dst])
     matched = np.zeros(g.node_count, dtype=bool)
-    off = g.neighbor_offsets
-    tgt = g.neighbor_targets
-    wts = g.edge_weights
-    pairs: list[tuple[int, int]] = []
-    for u in order:
-        if matched[u]:
-            continue
-        nbrs = tgt[off[u]:off[u + 1]]
-        if len(nbrs) == 0:
-            continue
-        free = ~matched[nbrs]
-        if not free.any():
-            continue
-        cand = nbrs[free]
-        cw = wts[off[u]:off[u + 1]][free]
-        v = int(cand[cw == cw.max()].min())
+    found = []
+    for rnd in range(_MATCH_ROUNDS):
+        if rnd:
+            free = ~(matched[src] | matched[dst])
+            src, dst, rating = src[free], dst[free], rating[free]
+        if len(src) == 0:
+            break
+        # arcs are grouped by source, so each node's best rating is a segment max
+        head = _run_heads(src)
+        best = np.maximum.reduceat(rating, np.flatnonzero(head))
+        top = np.flatnonzero(rating == best[np.cumsum(head) - 1])
+        first = _run_heads(src[top])
+        tied = np.flatnonzero(~(first & np.append(first[1:], True)))
+        if len(tied):
+            a, b = src[top[tied]], dst[top[tied]]
+            h = edge_uniform(seed, rnd, np.minimum(a, b), np.maximum(a, b))
+            head = _run_heads(a)
+            lose = h != np.maximum.reduceat(h, np.flatnonzero(head))[np.cumsum(head) - 1]
+            top = np.delete(top, tied[lose])
+        chosen = top[_run_heads(src[top])]
+        prop = np.full(g.node_count, -1, dtype=np.int64)
+        u = src[chosen]
+        prop[u] = dst[chosen]
+        v = prop[u]
+        mutual = (prop[v] == u) & (u < v)
+        u, v = u[mutual], v[mutual]
         matched[u] = matched[v] = True
-        pairs.append((int(u), v))
-    if not pairs:
+        found.append(np.stack([u, v], axis=1))
+    if not found:
         return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    return np.concatenate(found)
 
 
 def _contract(g: WeightedGraph, pairs: np.ndarray) -> tuple[WeightedGraph, np.ndarray]:
     """Merge matched pairs into supernodes; returns (coarse graph, fine->coarse map)."""
     rep = np.arange(g.node_count, dtype=np.int64)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    rep[hi] = lo
-    uniq, fmap = np.unique(rep, return_inverse=True)
-    return coarsen(PartitionMap(fmap, len(uniq)), MODE_NODE, g).graph, fmap
+    rep[pairs[:, 1]] = pairs[:, 0]
+    keep = rep == np.arange(g.node_count)
+    fmap = (np.cumsum(keep) - 1)[rep]
+    return coarsen(PartitionMap(fmap, int(keep.sum())), MODE_NODE, g).graph, fmap
 
 
 def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
@@ -141,7 +178,7 @@ def _initial_side(g: WeightedGraph, target0: float, caps: tuple[float, float],
     n = g.node_count
     vals = g.node_values
     total = float(vals.sum())
-    side = np.ones(n, dtype=np.int8)
+    side = np.ones(n, dtype=np.int64)
     comp, ncomp = _components(g)
     comp_val = np.bincount(comp, weights=vals.astype(np.float64), minlength=ncomp)
     comp_cnt = np.bincount(comp, minlength=ncomp)
@@ -199,164 +236,242 @@ def _initial_side(g: WeightedGraph, target0: float, caps: tuple[float, float],
     return side
 
 
-def _node_gain(g: WeightedGraph, side: np.ndarray, u: int) -> float:
-    nbrs = g.neighbors(u)
-    ws = g.neighbor_weights(u)
-    ext = ws[side[nbrs] != side[u]].sum()
-    return float(ext - (ws.sum() - ext))
+def _group_cumsum(keys: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Running total of ``amounts`` within each key, in the given order."""
+    order = np.argsort(keys, kind="stable")
+    sa = amounts[order]
+    cs = np.cumsum(sa)
+    head = _run_heads(keys[order])
+    out = np.empty_like(cs)
+    out[order] = cs - (cs - sa)[head][np.cumsum(head) - 1]
+    return out
 
 
-def _balance_fix(g: WeightedGraph, side: np.ndarray, caps: tuple[float, float],
-                 floors: tuple[int, int], loads: list[float], counts: list[int]) -> bool:
-    """Move nodes off an over-cap side, preferring cheapest cut damage.
+def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.ndarray,
+                room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best destination for each of ``nodes`` and the cut weight moving there saves.
 
-    Returns False (and logs the achieved ratio) when no legal move remains.
+    The destination is the part with room for the node that it is most
+    connected to, or, failing any connected one, the part with most room.
+    The saving is that connection minus the node's weight to its own part;
+    it is ``-inf`` where no part has room.
     """
-    vals = g.node_values
-    while True:
-        if loads[0] > caps[0]:
-            s = 0
-        elif loads[1] > caps[1]:
-            s = 1
-        else:
-            return True
-        t = 1 - s
-        if counts[s] - 1 < floors[s]:
-            break
-        movers = np.flatnonzero(side == s)
-        movers = movers[loads[t] + vals[movers] <= caps[t]]
-        if len(movers) == 0:
-            break
-        gains = np.array([_node_gain(g, side, int(u)) for u in movers])
-        u = int(movers[np.lexsort((movers, -gains))[0]])
-        side[u] = t
-        loads[s] -= float(vals[u])
-        loads[t] += float(vals[u])
-        counts[s] -= 1
-        counts[t] += 1
-    achieved = max(loads[0] / caps[0] if caps[0] else 0.0,
-                   loads[1] / caps[1] if caps[1] else 0.0)
-    logger.warning("bisection balance infeasible: achieved %.3f of the allowed cap", achieved)
-    return False
+    nparts = len(room)
+    row = np.full(g.node_count, -1, dtype=np.int64)
+    row[nodes] = np.arange(len(nodes))
+    r = row[src]
+    sel = r >= 0
+    conn = np.bincount(r[sel] * nparts + parts[g.neighbor_targets[sel]],
+                       weights=g.edge_weights[sel],
+                       minlength=len(nodes) * nparts).reshape(len(nodes), nparts)
+    ar = np.arange(len(nodes))
+    own = parts[nodes]
+    internal = conn[ar, own]
+    fit = room[None, :] >= g.node_values[nodes][:, None]
+    fit[ar, own] = False
+    score = np.where(fit, conn, -1.0)
+    dest = score.argmax(axis=1)
+    best = score[ar, dest]
+    far = best == 0.0
+    dest[far] = np.where(fit[far], room, -np.inf).argmax(axis=1)
+    return dest, np.where(best < 0, -np.inf, best - internal)
 
 
-def _refine_pass(g: WeightedGraph, side: np.ndarray, caps: tuple[float, float],
-                 floors: tuple[int, int], loads: list[float], counts: list[int]) -> int:
-    """One boundary sweep applying strictly cut-reducing moves; returns move count."""
-    if g.arc_count == 0:
-        return 0
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    w = g.edge_weights
-    cross = side[src] != side[dst]
-    if not cross.any():
-        return 0
-    ext = np.bincount(src, weights=w * cross, minlength=g.node_count)
-    allw = np.bincount(src, weights=w, minlength=g.node_count)
-    gain = 2.0 * ext - allw
-    boundary = np.unique(src[cross])
-    boundary = boundary[np.lexsort((boundary, -gain[boundary]))]
-    vals = g.node_values
-    moved = 0
-    for u in boundary:
-        u = int(u)
-        s = int(side[u])
-        t = 1 - s
-        if counts[s] - 1 < floors[s]:
-            continue
-        if loads[t] + vals[u] > caps[t]:
-            continue
-        fresh = _node_gain(g, side, u)
-        if fresh <= 0:
-            continue
-        side[u] = t
-        loads[s] -= float(vals[u])
-        loads[t] += float(vals[u])
-        counts[s] -= 1
-        counts[t] += 1
-        moved += 1
-    return moved
+def _loads(g: WeightedGraph, parts: np.ndarray, nparts: int) -> np.ndarray:
+    return np.bincount(parts, weights=g.node_values.astype(np.float64), minlength=nparts)
 
 
-def _fix_and_refine(g: WeightedGraph, side: np.ndarray, caps: tuple[float, float],
-                    floors: tuple[int, int], passes: int) -> None:
+def _admit(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray, dest: np.ndarray,
+           loads: np.ndarray, caps: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Mask of the moves, taken in the given order, that keep every destination
+    within its cap and every source at or above its floor of nodes."""
+    fits = loads[dest] + _group_cumsum(dest, g.node_values[nodes].astype(np.float64)) <= caps[dest]
+    own = parts[nodes]
+    counts = np.bincount(parts, minlength=len(caps))
+    return fits & (_group_cumsum(own, fits.astype(np.float64)) <= counts[own] - floors[own])
+
+
+def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
+               floors: np.ndarray) -> None:
+    """Move nodes out of parts above their cap until none is, or no move fits.
+
+    Each round, every node of an over-cap part is rated by the cut weight its
+    best move loses per unit value. Per source, the cheapest moves that cover
+    its excess are taken; per destination, they are admitted in that order
+    while the destination stays within its cap, and no part drops below its
+    floor of nodes. A move never pushes a destination past its cap, so with
+    unit node values and equal caps of at least ``ceil(n / k)`` this ends
+    with every part within its cap.
+    """
+    nparts = len(caps)
     vals = g.node_values.astype(np.float64)
-    loads = [float(vals[side == 0].sum()), float(vals[side == 1].sum())]
-    counts = [int((side == 0).sum()), int((side == 1).sum())]
-    _balance_fix(g, side, caps, floors, loads, counts)
-    for _ in range(passes):
-        if _refine_pass(g, side, caps, floors, loads, counts) == 0:
-            break
+    while True:
+        loads = _loads(g, parts, nparts)
+        excess = loads - caps
+        nodes = np.flatnonzero(excess[parts] > 0)
+        if not len(nodes):
+            return
+        dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+        ok = saving > -np.inf
+        nodes, dest, cost = nodes[ok], dest[ok], -saving[ok] / vals[nodes[ok]]
+        order = np.lexsort((nodes, cost))
+        nodes, dest = nodes[order], dest[order]
+        own = parts[nodes]
+        take = _group_cumsum(own, vals[nodes]) - vals[nodes] < excess[own]
+        nodes, dest = nodes[take], dest[take]
+        keep = _admit(g, parts, nodes, dest, loads, caps, floors)
+        if not keep.any():
+            return
+        parts[nodes[keep]] = dest[keep]
 
 
-def _bisect(g: WeightedGraph, k1: int, k2: int, cfg: BisectConfig, seed: int) -> np.ndarray:
-    """Split ``g`` into two sides sized for k1 and k2 further parts."""
-    k = k1 + k2
-    total = int(g.node_values.sum())
-    target0 = total * (k1 / k)
-    caps = ((1.0 + cfg.epsilon) * math.ceil(total * k1 / k),
-            (1.0 + cfg.epsilon) * math.ceil(total * k2 / k))
-    floors = (k1, k2)
+def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
+            floors: np.ndarray, rounds: int) -> None:
+    """Batches of cut-reducing boundary moves that keep every part within its cap.
 
-    graphs = [g]
-    maps: list[np.ndarray] = []
-    cur = g
-    stop = max(_COARSEST_NODES, 2 * k)
-    for lvl in range(cfg.max_coarsen_levels):
-        if cur.node_count <= stop:
-            break
-        pairs = heavy_edge_matching(cur, derive_seed(seed, "match", lvl))
-        if len(pairs) < max(1, cur.node_count // 20):
-            break
-        cur, fmap = _contract(cur, pairs)
-        graphs.append(cur)
-        maps.append(fmap)
+    Each round, every boundary node with a positive-saving move to a part
+    with room for it is a candidate, ranked by saving. A candidate is kept
+    only if its move still saves weight once every higher-ranked candidate
+    is assumed moved (Jet's filter). Kept moves are admitted per destination
+    in rank order while it stays within its cap, and per source while it
+    keeps its floor of nodes. A round whose moves would not lower the cut is
+    discarded; refinement stops then, or after a round moving fewer than
+    0.1% of the nodes.
+    """
+    n = g.node_count
+    nparts = len(caps)
+    dst, w = g.neighbor_targets, g.edge_weights
+    cross = parts[src] != parts[dst]
+    cut = w[cross].sum()
+    for _ in range(rounds):
+        loads = _loads(g, parts, nparts)
+        boundary = np.zeros(n, dtype=bool)
+        boundary[src[cross]] = True
+        nodes = np.flatnonzero(boundary)
+        dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+        cand = saving > 0
+        order = np.lexsort((nodes[cand], -saving[cand]))
+        nodes, dest = nodes[cand][order], dest[cand][order]
+        if not len(nodes):
+            return
+        rank = np.full(n, n, dtype=np.int64)
+        rank[nodes] = np.arange(len(nodes))
+        target = parts.copy()
+        target[nodes] = dest
+        arcs = np.flatnonzero(rank[src] < n)
+        a, b = src[arcs], dst[arcs]
+        pb = np.where(rank[b] < rank[a], target[b], parts[b])
+        gain = w[arcs] * ((pb == target[a]).astype(np.float64) - (pb == parts[a]))
+        keep = np.bincount(rank[a], weights=gain, minlength=len(nodes)) > 0
+        nodes, dest = nodes[keep], dest[keep]
+        keep = _admit(g, parts, nodes, dest, loads, caps, floors)
+        nodes, dest = nodes[keep], dest[keep]
+        if not len(nodes):
+            return
+        trial = parts.copy()
+        trial[nodes] = dest
+        trial_cross = trial[src] != trial[dst]
+        trial_cut = w[trial_cross].sum()
+        if trial_cut >= cut:
+            return
+        parts[:] = trial
+        cross, cut = trial_cross, trial_cut
+        if len(nodes) < 0.001 * n:
+            return
 
-    # several seeded growths at the coarsest level; keep the cheapest cut
+
+def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, cfg: BisectConfig,
+            seed: int) -> np.ndarray:
+    """Split ``g`` into two sides that will hold k1 and k2 parts of cap ``cap``."""
+    total = float(g.node_values.sum())
+    caps = np.array([cap * k1, cap * k2])
+    floors = np.array([k1, k2])
+    src = g.arc_sources()
+    # several seeded growths; keep the cheapest cut
     side = None
     best_cut = math.inf
     for attempt in range(4):
-        cand = _initial_side(cur, target0, caps, floors, derive_seed(seed, "grow", attempt))
-        _fix_and_refine(cur, cand, caps, floors, cfg.refine_passes)
-        cand_cut = cut_weight(cur, cand)
+        cand = _initial_side(g, total * k1 / (k1 + k2), (caps[0], caps[1]), (k1, k2),
+                             derive_seed(seed, "grow", attempt))
+        _rebalance(g, src, cand, caps, floors)
+        _refine(g, src, cand, caps, floors, cfg.refine_passes)
+        cand_cut = cut_weight(g, cand)
         if cand_cut < best_cut:
             best_cut = cand_cut
             side = cand
-    for gph, fmap in zip(reversed(graphs[:-1]), reversed(maps)):
-        side = side[fmap]
-        _fix_and_refine(gph, side, caps, floors, cfg.refine_passes)
     return side
 
 
-def _recurse(g: WeightedGraph, index_in_root: np.ndarray, k: int, base: int,
+def _recurse(g: WeightedGraph, index_in_root: np.ndarray, k: int, base: int, cap: float,
              cfg: BisectConfig, seed: int, out: np.ndarray) -> None:
     if k == 1:
         out[index_in_root] = base
         return
     k1 = (k + 1) // 2
     k2 = k // 2
-    side = _bisect(g, k1, k2, cfg, seed)
+    side = _bisect(g, k1, k2, cap, cfg, seed)
     left = np.flatnonzero(side == 0)
     right = np.flatnonzero(side == 1)
     sub_l, _ = induced_subgraph(g, left)
     sub_r, _ = induced_subgraph(g, right)
-    _recurse(sub_l, index_in_root[left], k1, base, cfg, derive_seed(seed, "L"), out)
-    _recurse(sub_r, index_in_root[right], k2, base + k1, cfg, derive_seed(seed, "R"), out)
+    _recurse(sub_l, index_in_root[left], k1, base, cap, cfg, derive_seed(seed, "L"), out)
+    _recurse(sub_r, index_in_root[right], k2, base + k1, cap, cfg, derive_seed(seed, "R"), out)
 
 
 def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     """Partition a coarse graph into exactly ``k`` non-empty, value-balanced parts.
 
-    Each recursion level splits the value total proportionally to the number
-    of parts on each side (ceil(k/2) : floor(k/2)); each part's value stays
-    within ``(1 + epsilon) * ceil(total * share)`` unless structurally
-    impossible, in which case a warning reports the achieved ratio.
+    One handshake-matching hierarchy shrinks the graph to at most
+    ``max(48, 20 k)`` nodes (or ``cfg.max_coarsen_levels`` levels); the
+    coarsest graph is split by recursive bisection, and each level on the
+    way up is rebalanced and refined k-way. The per-part cap is
+    ``C = (1 + epsilon) * ceil(W / k)`` with ``W`` the total node value.
+    When every node value is 1, every part ends within ``C``. For other
+    values this is best effort: matching never builds a node heavier than
+    ``max(heaviest input node, C / 4)``, and if a part still ends above
+    ``C``, one warning reports the largest load against it.
     """
     g = cg.graph
     if k < 1:
         raise InfeasibleError("k must be >= 1")
     if k > g.node_count:
         raise InfeasibleError(f"cannot split {g.node_count} node(s) into {k} parts")
-    out = np.empty(g.node_count, dtype=np.int64)
-    _recurse(g, np.arange(g.node_count, dtype=np.int64), k, 0, cfg, cfg.seed, out)
-    return PartitionMap(out, k)
+    if k == 1:
+        return PartitionMap(np.zeros(g.node_count, dtype=np.int64), 1)
+    cap = (1.0 + cfg.epsilon) * math.ceil(int(g.node_values.sum()) / k)
+
+    graphs = [g]
+    maps: list[np.ndarray] = []
+    max_mass = max(float(g.node_values.max()), cap / 4)
+    stop = max(_COARSEST_NODES, _COARSEST_PER_PART * k)
+    for lvl in range(cfg.max_coarsen_levels):
+        cur = graphs[-1]
+        if cur.node_count <= stop:
+            break
+        pairs = heavy_edge_matching(cur, derive_seed(cfg.seed, "match", lvl), max_mass)
+        if 2 * len(pairs) < max(1.0, 0.05 * cur.node_count):
+            break
+        coarse, fmap = _contract(cur, pairs)
+        graphs.append(coarse)
+        maps.append(fmap)
+
+    coarsest = graphs[-1]
+    parts = np.empty(coarsest.node_count, dtype=np.int64)
+    _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, cfg,
+             cfg.seed, parts)
+    caps = np.full(k, cap)
+    floors = np.ones(k, dtype=np.int64)
+    while True:
+        cur = graphs.pop()  # a level is released once its parts are projected up
+        src = cur.arc_sources()
+        _rebalance(cur, src, parts, caps, floors)
+        _refine(cur, src, parts, caps, floors, cfg.refine_passes)
+        if not maps:
+            break
+        parts = parts[maps.pop()]
+
+    heaviest = float(_loads(g, parts, k).max())
+    if heaviest > cap:
+        logger.warning("k-way balance infeasible: the heaviest part carries %d, %.3f of "
+                       "the per-part cap %.1f", heaviest, heaviest / cap, cap)
+    return PartitionMap(parts, k)

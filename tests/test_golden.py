@@ -21,25 +21,25 @@ from lppart.pipeline import PartitionConfig, partition_graph
 
 GOLDEN = {
     "graph.tsv": "e5abcf5cdfa1fc4f3138dad0d3118f9ccbc196300346bcf873a9d05ae218ffee",
-    "parts.tsv": "bc458ca7aea59834b87fdb71baa2a50804acb42692aedf0896aef3a9b94bdfcc",
-    "metrics.json": "43f5c45db7b36e031dcf99ab2cc1f72a73d69442448e32332f20cced1a05c15a",
-    "coarse-node.tsv": "8023fc85398b46f9c8fe2a2083749dabd2c794c65612af10b4854e3f4e36ca24",
-    "coarse-node.tsv.values": "ffb9bd14078730ecc8cad7524708498c9b6294939126cea275987e00a4c246c9",
-    "coarse-edge.tsv": "8023fc85398b46f9c8fe2a2083749dabd2c794c65612af10b4854e3f4e36ca24",
-    "coarse-edge.tsv.values": "ffb9bd14078730ecc8cad7524708498c9b6294939126cea275987e00a4c246c9",
+    "parts.tsv": "a7316d3b7987944f02dd7a4d8bc9f9fccf4095a37b176edb6d8240b9751f90f9",
+    "metrics.json": "35da809bca2ad7794eb492d40938de798f0f80ec584874b05b285a4b0741d545",
+    "coarse-node.tsv": "dba185a48ba42ca279472db9c71d1a2f83714b9e9b481eed8b3c13f9ccb9ad78",
+    "coarse-node.tsv.values": "f8cdfec78f648af9557917d76a226a3a67c711469ef40b252c7859c69ab4ef71",
+    "coarse-edge.tsv": "dba185a48ba42ca279472db9c71d1a2f83714b9e9b481eed8b3c13f9ccb9ad78",
+    "coarse-edge.tsv.values": "f8cdfec78f648af9557917d76a226a3a67c711469ef40b252c7859c69ab4ef71",
     "refined-nodes.tsv": "d4763d37e9f323ef82b611900fbe1850430a4ec46edafa43e6457eed5f03ca26",
     "refined-edges.tsv": "55a08daef5963b4d1ab774b3cd5452724294e96044e346d8546c64f2506337bb",
     "pagerank.tsv": "b153e60ad66e3f35d292b1bd910172f9d787e788be1628b58a670091bc39ce61",
     "features.tsv": "644b2ce47f795132c2846d9f5f0fbe31e2635edfa3194639399ec1e158d760e4",
-    "global.tsv": "53141a17322674b85c728fd65be104513d3a81c8c8ea8edd59a441987b64763c",
-    "joined.tsv": "e3697649b11e88f139354a226201ef87040a443ac34a333df5b3dc7966713643",
+    "global.tsv": "b231a0efa33a25db6bcd80dca2ae9e1a65a5d1cee3746135669faf8914be71bb",
+    "joined.tsv": "a1954099250f59b7d0a45d06069129f49d1e6819aeead9c63a5e87baa818ebc9",
 }
 
 # partition_graph(...).parts.assignment.tobytes() on graphs where the level
 # loop stops early and the finisher runs on the original graph
 FALLBACK_GOLDEN = {
-    "star": "16cd53d3da49d6395da5d2c1fd2a487b317bfab4ea2f1dbde4560dac795353f0",
-    "clique": "cade28935b19c9160a6484af4af541c4a61ca034d45d69cc0a64c287540f905b",
+    "star": "61c5526a2c8ceeb1127c531267669fcc5fa819b8794e6083bf42cc0478eef34e",
+    "clique": "979f3818c95342fcdbe410e20f77c280670b9d9ffa57b0e54516cfcc87eae0a1",
 }
 
 

@@ -4,44 +4,56 @@ import math
 import numpy as np
 import pytest
 
+from lppart import kway
 from lppart.coarsen import CoarseGraph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import from_edges
-from lppart.kway import (BisectConfig, InfeasibleError, _refine_pass, cut_weight,
+from lppart.kway import (BisectConfig, InfeasibleError, _rebalance, _refine, cut_weight,
                          heavy_edge_matching, kway_partition)
+from lppart.seeding import edge_uniform
 
 logger = logging.getLogger(__name__)
 
 
-def _matching_reference(g, seed):
-    """Replay the contract: seeded visit order, heaviest free neighbor."""
-    order = np.random.default_rng(seed).permutation(g.node_count)
+def _grid(side):
+    idx = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return from_edges(side * side, u, v)
+
+
+def _matching_reference(g, seed, max_mass=math.inf):
+    """Replay the contract: each round, every free node proposes its best free
+    neighbour by (rating, pair hash, -index); mutual proposals match."""
+    vals = g.node_values.astype(np.float64)
     matched = np.zeros(g.node_count, dtype=bool)
     pairs = []
-    for u in order:
-        if matched[u]:
-            continue
-        best, best_w = -1, -1.0
-        for v, w in zip(g.neighbors(u), g.neighbor_weights(u)):
-            if matched[v]:
+    for rnd in range(kway._MATCH_ROUNDS):
+        prop = {}
+        for u in range(g.node_count):
+            if matched[u]:
                 continue
-            if w > best_w or (w == best_w and v < best):
-                best, best_w = int(v), float(w)
-        if best >= 0:
-            matched[u] = matched[best] = True
-            pairs.append((int(u), best))
+            best = None
+            for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u)):
+                if matched[v] or vals[u] + vals[v] > max_mass:
+                    continue
+                h = edge_uniform(seed, rnd, np.array([min(u, v)]), np.array([max(u, v)]))[0]
+                key = (w / (vals[u] * vals[v]), h, -v)
+                if best is None or key > best[0]:
+                    best = (key, v)
+            if best is not None:
+                prop[u] = best[1]
+        new = [(u, v) for u, v in sorted(prop.items()) if u < v and prop.get(v) == u]
+        for u, v in new:
+            matched[u] = matched[v] = True
+        pairs += new
     return pairs
 
 
 def test_matching_on_weighted_path():
     g = from_edges(3, [0, 1], [1, 2], [5.0, 1.0])
     for seed in range(20):
-        first = int(np.random.default_rng(seed).permutation(3)[0])
-        pairs = {tuple(p) for p in heavy_edge_matching(g, seed)}
-        if first in (0, 1):
-            assert pairs == {(0, 1)} or pairs == {(1, 0)}
-        else:
-            assert pairs == {(2, 1)}
+        assert heavy_edge_matching(g, seed).tolist() == [[0, 1]]
 
 
 def test_matching_edge_cases():
@@ -49,6 +61,7 @@ def test_matching_edge_cases():
     assert len(heavy_edge_matching(edgeless, 1)) == 0
     single = from_edges(2, [0], [1])
     assert {tuple(sorted(p)) for p in heavy_edge_matching(single, 1)} == {(0, 1)}
+    assert len(heavy_edge_matching(single.with_node_values([2, 2]), 1, max_mass=3)) == 0
 
 
 def test_matching_is_valid_and_matches_reference():
@@ -56,13 +69,20 @@ def test_matching_is_valid_and_matches_reference():
     for trial in range(15):
         n = int(rng.integers(3, 60))
         m = int(rng.integers(1, 3 * n))
+        # integer weights and values make rating ties common, so the hash decides
         g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
-                       rng.uniform(0.1, 5.0, m))
+                       rng.integers(1, 3, m).astype(np.float64),
+                       node_values=rng.integers(1, 4, n))
         seed = int(rng.integers(1 << 30))
-        pairs = heavy_edge_matching(g, seed)
+        max_mass = float(rng.integers(3, 7))
+        pairs = heavy_edge_matching(g, seed, max_mass)
         flat = pairs.ravel().tolist()
         assert len(flat) == len(set(flat))  # no node matched twice
-        assert [tuple(p) for p in pairs] == _matching_reference(g, seed)
+        for u, v in pairs.tolist():
+            assert v in g.neighbors(u)
+            assert g.node_values[u] + g.node_values[v] <= max_mass
+        assert np.array_equal(pairs, heavy_edge_matching(g, seed, max_mass))
+        assert [tuple(p) for p in pairs.tolist()] == _matching_reference(g, seed, max_mass)
 
 
 def _exhaustive_best_bipartition(g, epsilon):
@@ -158,8 +178,36 @@ def test_balance_cap_respected_on_unit_values():
             continue
         parts = kway_partition(CoarseGraph.wrap(g), k, BisectConfig(epsilon=0.1, seed=trial))
         sizes = parts.part_sizes()
-        cap = (1.0 + 0.1) * math.ceil(n * math.ceil(k / 2) / k)
-        assert sizes.max() <= cap
+        assert sizes.max() <= (1.0 + 0.1) * math.ceil(n / k)
+
+
+def test_grid_parts_within_the_per_part_cap():
+    g = _grid(60)
+    parts = kway_partition(CoarseGraph.wrap(g), 16, BisectConfig())
+    sizes = parts.part_sizes()
+    assert len(sizes) == 16 and sizes.min() > 0
+    assert sizes.max() <= 1.1 * math.ceil(3600 / 16)
+
+
+def test_rebalance_meets_the_cap_on_unit_values():
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        n = int(rng.integers(20, 80))
+        m = int(rng.integers(n, 4 * n))
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        k = int(rng.integers(2, 7))
+        # a lopsided start: most nodes in part 0, every part non-empty
+        parts = np.where(rng.random(n) < 0.7, 0, rng.integers(0, k, n))
+        parts[:k] = np.arange(k)
+        caps = np.full(k, 1.1 * math.ceil(n / k))
+        _rebalance(g, g.arc_sources(), parts, caps, np.ones(k, dtype=np.int64))
+        sizes = np.bincount(parts, minlength=k)
+        assert sizes.max() <= caps[0] and sizes.min() >= 1
+    # a path whose over-cap part borders only a full part: the moves must go further
+    g = from_edges(12, np.arange(11), np.arange(1, 12))
+    parts = np.array([0] * 6 + [1] * 4 + [2] * 2)
+    _rebalance(g, g.arc_sources(), parts, np.full(3, 4.4), np.ones(3, dtype=np.int64))
+    assert np.bincount(parts, minlength=3).tolist() == [4, 4, 4]
 
 
 def test_bisection_balances_nonuniform_node_values():
@@ -180,24 +228,25 @@ def test_bisection_balances_nonuniform_node_values():
 
 
 def test_refinement_pass_never_increases_cut():
-    rng = np.random.default_rng(41)
+    # seed 16 includes a start where a filtered batch alone would raise the cut
+    rng = np.random.default_rng(16)
     for trial in range(10):
         n = int(rng.integers(8, 30))
         m = int(rng.integers(n, 4 * n))
         g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
                        rng.uniform(0.1, 3.0, m))
-        side = rng.integers(0, 2, n).astype(np.int8)
-        if side.min() == side.max():
-            side[0] = 1 - side[0]
-        caps = (float(n), float(n))
-        floors = (1, 1)
-        loads = [float(g.node_values[side == 0].sum()), float(g.node_values[side == 1].sum())]
-        counts = [int((side == 0).sum()), int((side == 1).sum())]
+        k = 2 + trial % 3
+        parts = rng.integers(0, k, n)
+        parts[:k] = np.arange(k)
+        caps = np.full(k, float(n))
+        floors = np.ones(k, dtype=np.int64)
+        src = g.arc_sources()
         for _ in range(4):
-            before = cut_weight(g, side)
-            _refine_pass(g, side, caps, floors, loads, counts)
-            after = cut_weight(g, side)
+            before = cut_weight(g, parts)
+            _refine(g, src, parts, caps, floors, 1)
+            after = cut_weight(g, parts)
             assert after <= before + 1e-12
+            assert np.bincount(parts, minlength=k).min() >= 1
 
 
 def test_infeasible_requests_raise():
@@ -223,6 +272,51 @@ def test_infeasible_balance_is_flagged_not_fatal(caplog):
     assert parts.num_parts == 2
     assert np.all(parts.part_sizes() > 0)
     assert any("infeasible" in rec.message for rec in caplog.records)
+
+
+def test_infeasible_balance_logs_one_line_per_call(caplog):
+    # a hub heavier than the per-part cap; every bisection on its side is infeasible
+    n = 40
+    values = np.ones(n, dtype=np.int64)
+    values[0] = 60
+    g = from_edges(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), node_values=values)
+    with caplog.at_level(logging.WARNING, logger="lppart.kway"):
+        parts = kway_partition(CoarseGraph.wrap(g), 4, BisectConfig(epsilon=0.1, seed=1))
+    lines = [rec.getMessage() for rec in caplog.records if "infeasible" in rec.getMessage()]
+    cap = 1.1 * math.ceil(values.sum() / 4)
+    assert lines == [f"k-way balance infeasible: the heaviest part carries 60, "
+                     f"{60 / cap:.3f} of the per-part cap {cap:.1f}"]
+    assert np.all(parts.part_sizes() > 0)
+
+
+def test_one_hierarchy_per_call(monkeypatch):
+    # one matching per level of one hierarchy; bisection only on the coarsest graph
+    matched, contracted, split = [], [], []
+    real_match, real_contract, real_split = (kway.heavy_edge_matching, kway._contract,
+                                             kway.induced_subgraph)
+
+    def match(g, *args, **kwargs):
+        matched.append(g.node_count)
+        return real_match(g, *args, **kwargs)
+
+    def contract(g, pairs):
+        coarse, fmap = real_contract(g, pairs)
+        contracted.append(coarse.node_count)
+        return coarse, fmap
+
+    def induced(g, nodes):
+        split.append(g.node_count)
+        return real_split(g, nodes)
+
+    monkeypatch.setattr(kway, "heavy_edge_matching", match)
+    monkeypatch.setattr(kway, "_contract", contract)
+    monkeypatch.setattr(kway, "induced_subgraph", induced)
+    g = _grid(100)
+    parts = kway_partition(CoarseGraph.wrap(g), 16, BisectConfig())
+    assert 0 < len(matched) <= BisectConfig().max_coarsen_levels
+    assert contracted and split
+    assert max(split) <= contracted[-1] <= 20 * 16
+    assert parts.part_sizes().max() <= 1.1 * math.ceil(g.node_count / 16)
 
 
 def test_kway_with_k_equal_to_node_count():

@@ -95,8 +95,7 @@ def test_fallback_star_parts_stay_balanced():
     sizes = result.parts.part_sizes()
     assert result.fallback_splits > 0
     assert sizes.min() >= n / (2 * k)
-    # each of kway's two bisection levels may add epsilon to its share
-    assert sizes.max() <= 1.1 ** 2 * math.ceil(n / k)
+    assert sizes.max() <= 1.1 * math.ceil(n / k)
 
 
 def test_finisher_values_are_original_node_mass(monkeypatch):
