@@ -14,8 +14,10 @@ boundary moves filtered as in Jet (Gilbert et al., arXiv:2304.13194).
 
 Every cap derives from one root per-part cap ``(1 + epsilon) * ceil(W / k)``,
 ``W`` the total node value: a side that will hold ``k_s`` parts may carry
-``k_s`` times it, so epsilon does not compound down the recursion. Balance is
-measured on node values; self-loop mass on coarse nodes is ignored.
+``k_s`` times it, so epsilon does not compound down the recursion. The value
+floor ``ceil(W / k) / (1 + epsilon)`` below which no move takes a part scales
+the same way. Balance is measured on node values; self-loop mass on coarse
+nodes is ignored.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from lppart.seeding import derive_seed, edge_uniform
 
 logger = logging.getLogger(__name__)
 
-_COARSEST_NODES = 48
 _COARSEST_PER_PART = 20
 # grids are matched after 4 rounds, but dense graphs still match about a seventh
 # of their nodes in rounds 5 and 6; fewer matches leave more, larger levels to hold
@@ -63,6 +64,11 @@ class BisectConfig:
             raise ValueError("epsilon must be >= 0")
         if self.max_coarsen_levels < 1 or self.refine_passes < 1:
             raise ValueError("level and pass counts must be >= 1")
+
+
+def per_part_cap(total: float, k: int, epsilon: float) -> float:
+    """The most node value one of ``k`` parts may carry: ``(1 + epsilon) * ceil(W / k)``."""
+    return (1.0 + epsilon) * math.ceil(int(total) / k)
 
 
 def heavy_edge_matching(g: WeightedGraph, seed: int, max_mass: float = math.inf) -> np.ndarray:
@@ -249,32 +255,56 @@ def _group_cumsum(keys: np.ndarray, amounts: np.ndarray) -> np.ndarray:
 
 def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.ndarray,
                 room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best destination for each of ``nodes`` and the cut weight moving there saves.
+    """Best destination for each of ``nodes`` (ascending) and the cut weight
+    moving there saves.
 
     The destination is the part with room for the node that it is most
-    connected to, or, failing any connected one, the part with most room.
-    The saving is that connection minus the node's weight to its own part;
-    it is ``-inf`` where no part has room.
+    connected to (ties to the lower part), or, failing any connected one, the
+    other part with most room. The saving is that connection minus the node's
+    weight to its own part; it is ``-inf`` where no other part has room.
+    Connections are summed per (node, part) pair present among the arcs of
+    ``nodes``: in a part-by-node table when that is no larger than those
+    arcs, else by grouping the arcs by part. Either way memory is linear in
+    the arcs, whatever the number of parts.
     """
     nparts = len(room)
     row = np.full(g.node_count, -1, dtype=np.int64)
     row[nodes] = np.arange(len(nodes))
-    r = row[src]
-    sel = r >= 0
-    conn = np.bincount(r[sel] * nparts + parts[g.neighbor_targets[sel]],
-                       weights=g.edge_weights[sel],
-                       minlength=len(nodes) * nparts).reshape(len(nodes), nparts)
-    ar = np.arange(len(nodes))
+    sel = np.flatnonzero(row[src] >= 0)
+    p = parts[g.neighbor_targets[sel]]
+    key = p * len(nodes) + row[src[sel]]
+    w = g.edge_weights[sel]
+    if len(nodes) * nparts <= len(sel):  # a part-by-node table is no larger than the arcs
+        table = np.bincount(key, weights=w, minlength=nparts * len(nodes))
+        key = np.flatnonzero(table)
+        conn = table[key]
+    else:
+        # arcs come grouped by source and rows ascend with it, so a stable sort
+        # by part sorts the keys
+        order = np.argsort(p.astype(np.min_scalar_type(nparts - 1)), kind="stable")
+        key, w = key[order], w[order]
+        head = np.flatnonzero(_run_heads(key))
+        conn = np.add.reduceat(w, head) if len(head) else np.empty(0)
+        key = key[head]
+    kp, kr = np.divmod(key, len(nodes))
     own = parts[nodes]
-    internal = conn[ar, own]
-    fit = room[None, :] >= g.node_values[nodes][:, None]
-    fit[ar, own] = False
-    score = np.where(fit, conn, -1.0)
-    dest = score.argmax(axis=1)
-    best = score[ar, dest]
-    far = best == 0.0
-    dest[far] = np.where(fit[far], room, -np.inf).argmax(axis=1)
-    return dest, np.where(best < 0, -np.inf, best - internal)
+    vals = g.node_values[nodes]
+    mine = kp == own[kr]
+    internal = np.zeros(len(nodes))
+    internal[kr[mine]] = conn[mine]
+    cand = np.flatnonzero(~mine & (room[kp] >= vals[kr]) & (conn > 0))
+    top = np.full(len(nodes), -np.inf)
+    np.maximum.at(top, kr[cand], conn[cand])
+    win = cand[conn[cand] == top[kr[cand]]]
+    lowest = np.full(len(nodes), nparts)
+    np.minimum.at(lowest, kr[win], kp[win])
+    # no connected part has room: fall back to the other part with most room
+    by_room = np.lexsort((np.arange(nparts), -room))
+    roomiest = np.where(own == by_room[0], by_room[1], by_room[0])
+    connected = top > -np.inf
+    far = ~connected & (room[roomiest] >= vals)
+    dest = np.where(connected, lowest, roomiest)
+    return dest, np.where(connected, top, np.where(far, 0.0, -np.inf)) - internal
 
 
 def _loads(g: WeightedGraph, parts: np.ndarray, nparts: int) -> np.ndarray:
@@ -282,26 +312,31 @@ def _loads(g: WeightedGraph, parts: np.ndarray, nparts: int) -> np.ndarray:
 
 
 def _admit(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray, dest: np.ndarray,
-           loads: np.ndarray, caps: np.ndarray, floors: np.ndarray) -> np.ndarray:
+           loads: np.ndarray, caps: np.ndarray, lows: np.ndarray,
+           floors: np.ndarray) -> np.ndarray:
     """Mask of the moves, taken in the given order, that keep every destination
-    within its cap and every source at or above its floor of nodes."""
-    fits = loads[dest] + _group_cumsum(dest, g.node_values[nodes].astype(np.float64)) <= caps[dest]
+    within its cap and every source at or above both its value floor ``lows``
+    and its floor of nodes."""
+    vals = g.node_values[nodes].astype(np.float64)
+    fits = loads[dest] + _group_cumsum(dest, vals) <= caps[dest]
     own = parts[nodes]
     counts = np.bincount(parts, minlength=len(caps))
-    return fits & (_group_cumsum(own, fits.astype(np.float64)) <= counts[own] - floors[own])
+    return (fits & (_group_cumsum(own, fits.astype(np.float64)) <= counts[own] - floors[own])
+            & (_group_cumsum(own, vals * fits) <= loads[own] - lows[own]))
 
 
 def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
-               floors: np.ndarray) -> None:
+               lows: np.ndarray, floors: np.ndarray) -> None:
     """Move nodes out of parts above their cap until none is, or no move fits.
 
     Each round, every node of an over-cap part is rated by the cut weight its
     best move loses per unit value. Per source, the cheapest moves that cover
     its excess are taken; per destination, they are admitted in that order
     while the destination stays within its cap, and no part drops below its
-    floor of nodes. A move never pushes a destination past its cap, so with
-    unit node values and equal caps of at least ``ceil(n / k)`` this ends
-    with every part within its cap.
+    value floor or its floor of nodes. A move never pushes a destination past
+    its cap, so with unit node values, equal caps of at least ``ceil(n / k)``
+    and value floors at most ``ceil(n / k)`` this ends with every part within
+    its cap.
     """
     nparts = len(caps)
     vals = g.node_values.astype(np.float64)
@@ -319,24 +354,25 @@ def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.nd
         own = parts[nodes]
         take = _group_cumsum(own, vals[nodes]) - vals[nodes] < excess[own]
         nodes, dest = nodes[take], dest[take]
-        keep = _admit(g, parts, nodes, dest, loads, caps, floors)
+        keep = _admit(g, parts, nodes, dest, loads, caps, lows, floors)
         if not keep.any():
             return
         parts[nodes[keep]] = dest[keep]
 
 
 def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
-            floors: np.ndarray, rounds: int) -> None:
-    """Batches of cut-reducing boundary moves that keep every part within its cap.
+            lows: np.ndarray, floors: np.ndarray, rounds: int) -> None:
+    """Batches of cut-reducing boundary moves that keep every part between its
+    value floor and its cap.
 
     Each round, every boundary node with a positive-saving move to a part
-    with room for it is a candidate, ranked by saving. A candidate is kept
-    only if its move still saves weight once every higher-ranked candidate
-    is assumed moved (Jet's filter). Kept moves are admitted per destination
-    in rank order while it stays within its cap, and per source while it
-    keeps its floor of nodes. A round whose moves would not lower the cut is
-    discarded; refinement stops then, or after a round moving fewer than
-    0.1% of the nodes.
+    with room for it is a candidate, ranked by saving. Candidates are
+    admitted per destination in rank order while it stays within its cap,
+    and per source while it keeps its value floor and its floor of nodes.
+    An admitted move is kept only if it still saves weight once every
+    higher-ranked admitted move is assumed made (Jet's filter). A round
+    whose moves would not lower the cut is discarded; refinement stops then,
+    or after a round moving fewer than 0.1% of the nodes.
     """
     n = g.node_count
     nparts = len(caps)
@@ -352,6 +388,8 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
         cand = saving > 0
         order = np.lexsort((nodes[cand], -saving[cand]))
         nodes, dest = nodes[cand][order], dest[cand][order]
+        keep = _admit(g, parts, nodes, dest, loads, caps, lows, floors)
+        nodes, dest = nodes[keep], dest[keep]
         if not len(nodes):
             return
         rank = np.full(n, n, dtype=np.int64)
@@ -363,8 +401,6 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
         pb = np.where(rank[b] < rank[a], target[b], parts[b])
         gain = w[arcs] * ((pb == target[a]).astype(np.float64) - (pb == parts[a]))
         keep = np.bincount(rank[a], weights=gain, minlength=len(nodes)) > 0
-        nodes, dest = nodes[keep], dest[keep]
-        keep = _admit(g, parts, nodes, dest, loads, caps, floors)
         nodes, dest = nodes[keep], dest[keep]
         if not len(nodes):
             return
@@ -380,11 +416,13 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
             return
 
 
-def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, cfg: BisectConfig,
+def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, cfg: BisectConfig,
             seed: int) -> np.ndarray:
-    """Split ``g`` into two sides that will hold k1 and k2 parts of cap ``cap``."""
+    """Split ``g`` into two sides that will hold k1 and k2 parts, each part
+    with value between ``low`` and ``cap``."""
     total = float(g.node_values.sum())
     caps = np.array([cap * k1, cap * k2])
+    lows = np.array([low * k1, low * k2])
     floors = np.array([k1, k2])
     src = g.arc_sources()
     # several seeded growths; keep the cheapest cut
@@ -393,8 +431,8 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, cfg: BisectConfig,
     for attempt in range(4):
         cand = _initial_side(g, total * k1 / (k1 + k2), (caps[0], caps[1]), (k1, k2),
                              derive_seed(seed, "grow", attempt))
-        _rebalance(g, src, cand, caps, floors)
-        _refine(g, src, cand, caps, floors, cfg.refine_passes)
+        _rebalance(g, src, cand, caps, lows, floors)
+        _refine(g, src, cand, caps, lows, floors, cfg.refine_passes)
         cand_cut = cut_weight(g, cand)
         if cand_cut < best_cut:
             best_cut = cand_cut
@@ -403,33 +441,36 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, cfg: BisectConfig,
 
 
 def _recurse(g: WeightedGraph, index_in_root: np.ndarray, k: int, base: int, cap: float,
-             cfg: BisectConfig, seed: int, out: np.ndarray) -> None:
+             low: float, cfg: BisectConfig, seed: int, out: np.ndarray) -> None:
     if k == 1:
         out[index_in_root] = base
         return
     k1 = (k + 1) // 2
     k2 = k // 2
-    side = _bisect(g, k1, k2, cap, cfg, seed)
+    side = _bisect(g, k1, k2, cap, low, cfg, seed)
     left = np.flatnonzero(side == 0)
     right = np.flatnonzero(side == 1)
     sub_l, _ = induced_subgraph(g, left)
     sub_r, _ = induced_subgraph(g, right)
-    _recurse(sub_l, index_in_root[left], k1, base, cap, cfg, derive_seed(seed, "L"), out)
-    _recurse(sub_r, index_in_root[right], k2, base + k1, cap, cfg, derive_seed(seed, "R"), out)
+    _recurse(sub_l, index_in_root[left], k1, base, cap, low, cfg, derive_seed(seed, "L"), out)
+    _recurse(sub_r, index_in_root[right], k2, base + k1, cap, low, cfg,
+             derive_seed(seed, "R"), out)
 
 
 def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     """Partition a coarse graph into exactly ``k`` non-empty, value-balanced parts.
 
-    One handshake-matching hierarchy shrinks the graph to at most
-    ``max(48, 20 k)`` nodes (or ``cfg.max_coarsen_levels`` levels); the
-    coarsest graph is split by recursive bisection, and each level on the
-    way up is rebalanced and refined k-way. The per-part cap is
-    ``C = (1 + epsilon) * ceil(W / k)`` with ``W`` the total node value.
-    When every node value is 1, every part ends within ``C``. For other
-    values this is best effort: matching never builds a node heavier than
-    ``max(heaviest input node, C / 4)``, and if a part still ends above
-    ``C``, one warning reports the largest load against it.
+    One handshake-matching hierarchy shrinks the graph to at most ``20 k``
+    nodes (or ``cfg.max_coarsen_levels`` levels); the coarsest graph is
+    split by recursive bisection, and each level on the way up is rebalanced
+    and refined k-way. The per-part cap is ``C = (1 + epsilon) * ceil(W / k)``
+    with ``W`` the total node value. When every node value is 1, every part
+    ends within ``C``. For other values this is best effort: matching never
+    builds a node heavier than ``max(heaviest input node, C / 4)``, and if a
+    part still ends above ``C``, one warning reports the largest load
+    against it. No move takes a part below ``ceil(W / k) / (1 + epsilon)``,
+    so refinement cannot drain a part to buy cut; a part that the coarsest
+    split leaves below that floor is not filled up.
     """
     g = cg.graph
     if k < 1:
@@ -438,12 +479,13 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
         raise InfeasibleError(f"cannot split {g.node_count} node(s) into {k} parts")
     if k == 1:
         return PartitionMap(np.zeros(g.node_count, dtype=np.int64), 1)
-    cap = (1.0 + cfg.epsilon) * math.ceil(int(g.node_values.sum()) / k)
+    cap = per_part_cap(g.node_values.sum(), k, cfg.epsilon)
+    low = cap / (1.0 + cfg.epsilon) ** 2  # ceil(W / k) / (1 + epsilon), mirroring the cap
 
     graphs = [g]
     maps: list[np.ndarray] = []
     max_mass = max(float(g.node_values.max()), cap / 4)
-    stop = max(_COARSEST_NODES, _COARSEST_PER_PART * k)
+    stop = _COARSEST_PER_PART * k
     for lvl in range(cfg.max_coarsen_levels):
         cur = graphs[-1]
         if cur.node_count <= stop:
@@ -457,15 +499,16 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
 
     coarsest = graphs[-1]
     parts = np.empty(coarsest.node_count, dtype=np.int64)
-    _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, cfg,
+    _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, low, cfg,
              cfg.seed, parts)
     caps = np.full(k, cap)
+    lows = np.full(k, low)
     floors = np.ones(k, dtype=np.int64)
     while True:
         cur = graphs.pop()  # a level is released once its parts are projected up
         src = cur.arc_sources()
-        _rebalance(cur, src, parts, caps, floors)
-        _refine(cur, src, parts, caps, floors, cfg.refine_passes)
+        _rebalance(cur, src, parts, caps, lows, floors)
+        _refine(cur, src, parts, caps, lows, floors, cfg.refine_passes)
         if not maps:
             break
         parts = parts[maps.pop()]

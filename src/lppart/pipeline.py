@@ -25,7 +25,7 @@ import numpy as np
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
 from lppart.graph import (_ID_MAX, _ID_MIN, IdMap, PartitionMap, WeightedGraph, _read_text,
                           _write_lines)
-from lppart.kway import BisectConfig, InfeasibleError, kway_partition
+from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
 
@@ -74,7 +74,7 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
     if cfg.k > g.node_count:
         raise InfeasibleError(f"k={cfg.k} exceeds node count {g.node_count}")
 
-    cap = (1.0 + cfg.bisect.epsilon) * math.ceil(int(g.node_values.sum()) / cfg.k)
+    cap = per_part_cap(g.node_values.sum(), cfg.k, cfg.bisect.epsilon)
     timings: dict[str, float] = {}
     level_sizes: list[dict] = []
     level_maps: list[PartitionMap] = []

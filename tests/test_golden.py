@@ -21,25 +21,25 @@ from lppart.pipeline import PartitionConfig, partition_graph
 
 GOLDEN = {
     "graph.tsv": "e5abcf5cdfa1fc4f3138dad0d3118f9ccbc196300346bcf873a9d05ae218ffee",
-    "parts.tsv": "a7316d3b7987944f02dd7a4d8bc9f9fccf4095a37b176edb6d8240b9751f90f9",
-    "metrics.json": "35da809bca2ad7794eb492d40938de798f0f80ec584874b05b285a4b0741d545",
-    "coarse-node.tsv": "dba185a48ba42ca279472db9c71d1a2f83714b9e9b481eed8b3c13f9ccb9ad78",
-    "coarse-node.tsv.values": "f8cdfec78f648af9557917d76a226a3a67c711469ef40b252c7859c69ab4ef71",
-    "coarse-edge.tsv": "dba185a48ba42ca279472db9c71d1a2f83714b9e9b481eed8b3c13f9ccb9ad78",
-    "coarse-edge.tsv.values": "f8cdfec78f648af9557917d76a226a3a67c711469ef40b252c7859c69ab4ef71",
+    "parts.tsv": "0346f2cd45da336c88af00d841e165d0af0f5e70ccb55c53de82144d46e905e7",
+    "metrics.json": "09ba18a208064446b0c89250cc4247f7c68942cab9bff9705520174b49b235c6",
+    "coarse-node.tsv": "c12314dec56f8a66eee79a4b567a435e6d2b4e645746063ff012af3b41223649",
+    "coarse-node.tsv.values": "a9d37dfd61796b7b11fc1a5acfa338f531dded81600c2c35d16507642a8c74b7",
+    "coarse-edge.tsv": "c12314dec56f8a66eee79a4b567a435e6d2b4e645746063ff012af3b41223649",
+    "coarse-edge.tsv.values": "a9d37dfd61796b7b11fc1a5acfa338f531dded81600c2c35d16507642a8c74b7",
     "refined-nodes.tsv": "d4763d37e9f323ef82b611900fbe1850430a4ec46edafa43e6457eed5f03ca26",
     "refined-edges.tsv": "55a08daef5963b4d1ab774b3cd5452724294e96044e346d8546c64f2506337bb",
     "pagerank.tsv": "b153e60ad66e3f35d292b1bd910172f9d787e788be1628b58a670091bc39ce61",
     "features.tsv": "644b2ce47f795132c2846d9f5f0fbe31e2635edfa3194639399ec1e158d760e4",
-    "global.tsv": "b231a0efa33a25db6bcd80dca2ae9e1a65a5d1cee3746135669faf8914be71bb",
-    "joined.tsv": "a1954099250f59b7d0a45d06069129f49d1e6819aeead9c63a5e87baa818ebc9",
+    "global.tsv": "cf9000c4fcbedad040d28fa86c56a5926280b649ca27d8d81ee241e5404004e9",
+    "joined.tsv": "b15ce1a385da0c08fff307d454cf51cfba01cbe148046154a176958ddc89d66c",
 }
 
 # partition_graph(...).parts.assignment.tobytes() on graphs where the level
 # loop stops early and the finisher runs on the original graph
 FALLBACK_GOLDEN = {
-    "star": "61c5526a2c8ceeb1127c531267669fcc5fa819b8794e6083bf42cc0478eef34e",
-    "clique": "979f3818c95342fcdbe410e20f77c280670b9d9ffa57b0e54516cfcc87eae0a1",
+    "star": "bf17c3a2680dae7912a08ae3928aa8e387ac3678b517d5ca2562a80f0c0ebb08",
+    "clique": "039d4e55f472b209e10541b2d69cb1c9a7241814626506b6e632728a59398aea",
 }
 
 

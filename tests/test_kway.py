@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,77 @@ def test_grid_parts_within_the_per_part_cap():
     assert sizes.max() <= 1.1 * math.ceil(3600 / 16)
 
 
+def _best_moves_reference(g, parts, nodes, room):
+    """Dense replay of the contract: most-connected part with room, else roomiest."""
+    dest, saving = [], []
+    for u in nodes:
+        conn = np.zeros(len(room))
+        for v, w in zip(g.neighbors(u), g.neighbor_weights(u)):
+            conn[parts[v]] += w
+        fit = room >= g.node_values[u]
+        fit[parts[u]] = False
+        if not fit.any():
+            dest.append(0)
+            saving.append(-np.inf)
+        elif conn[fit].max() > 0:
+            d = int(np.flatnonzero(fit & (conn == conn[fit].max()))[0])
+            dest.append(d)
+            saving.append(conn[d] - conn[parts[u]])
+        else:
+            dest.append(int(np.flatnonzero(fit & (room == room[fit].max()))[0]))
+            saving.append(-conn[parts[u]])
+    return np.array(dest), np.array(saving)
+
+
+def test_best_moves_matches_a_dense_reference():
+    rng = np.random.default_rng(19)
+    table_fits = set()
+    for trial in range(40):
+        n = int(rng.integers(5, 40))
+        m = int(rng.integers(n, 8 * n))
+        # integer weights and values make ties in connection and room common
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                       rng.integers(1, 3, m).astype(np.float64), rng.integers(1, 4, n))
+        k = int(rng.integers(2, 12))
+        parts = rng.integers(0, k, n)
+        nodes = np.flatnonzero(rng.random(n) < 0.6)
+        room = rng.integers(-2, 5, k).astype(np.float64)
+        dest, saving = kway._best_moves(g, g.arc_sources(), parts, nodes, room)
+        ref_dest, ref_saving = _best_moves_reference(g, parts, nodes, room)
+        movable = ref_saving > -np.inf
+        assert np.array_equal(saving, ref_saving)
+        assert np.array_equal(dest[movable], ref_dest[movable])
+        table_fits.add(len(nodes) * k <= np.diff(g.neighbor_offsets)[nodes].sum())
+    assert table_fits == {True, False}  # both the part-by-node table and the sorted arcs
+
+
+def test_best_moves_memory_is_linear_in_arcs():
+    # 20k nodes and 200 parts: a dense node-by-part table of float64 alone is 32 MB
+    rng = np.random.default_rng(3)
+    n, m, k = 20000, 100000, 200
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
+    parts = rng.integers(0, k, n)
+    src = g.arc_sources()
+    tracemalloc.start()
+    try:
+        kway._best_moves(g, src, parts, np.arange(n), np.full(k, 50.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * len(src) < 8 * n * k
+
+
+def test_many_parts_on_a_mid_size_graph():
+    rng = np.random.default_rng(4)
+    n, m, k = 20000, 100000, 200
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
+    parts = kway_partition(CoarseGraph.wrap(g), k, BisectConfig())
+    sizes = parts.part_sizes()
+    assert len(sizes) == k
+    assert sizes.max() <= 1.1 * math.ceil(n / k)
+    assert sizes.min() >= 0.5 * n / k  # refinement must not drain parts
+
+
 def test_rebalance_meets_the_cap_on_unit_values():
     rng = np.random.default_rng(12)
     for trial in range(10):
@@ -200,13 +272,14 @@ def test_rebalance_meets_the_cap_on_unit_values():
         parts = np.where(rng.random(n) < 0.7, 0, rng.integers(0, k, n))
         parts[:k] = np.arange(k)
         caps = np.full(k, 1.1 * math.ceil(n / k))
-        _rebalance(g, g.arc_sources(), parts, caps, np.ones(k, dtype=np.int64))
+        _rebalance(g, g.arc_sources(), parts, caps, np.zeros(k), np.ones(k, dtype=np.int64))
         sizes = np.bincount(parts, minlength=k)
         assert sizes.max() <= caps[0] and sizes.min() >= 1
     # a path whose over-cap part borders only a full part: the moves must go further
     g = from_edges(12, np.arange(11), np.arange(1, 12))
     parts = np.array([0] * 6 + [1] * 4 + [2] * 2)
-    _rebalance(g, g.arc_sources(), parts, np.full(3, 4.4), np.ones(3, dtype=np.int64))
+    _rebalance(g, g.arc_sources(), parts, np.full(3, 4.4), np.zeros(3),
+               np.ones(3, dtype=np.int64))
     assert np.bincount(parts, minlength=3).tolist() == [4, 4, 4]
 
 
@@ -227,9 +300,10 @@ def test_bisection_balances_nonuniform_node_values():
             assert max(loads) <= cap
 
 
-def test_refinement_pass_never_increases_cut():
+@pytest.mark.parametrize("seed", [41, 16])
+def test_refinement_pass_never_increases_cut(seed):
     # seed 16 includes a start where a filtered batch alone would raise the cut
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(seed)
     for trial in range(10):
         n = int(rng.integers(8, 30))
         m = int(rng.integers(n, 4 * n))
@@ -243,10 +317,26 @@ def test_refinement_pass_never_increases_cut():
         src = g.arc_sources()
         for _ in range(4):
             before = cut_weight(g, parts)
-            _refine(g, src, parts, caps, floors, 1)
+            _refine(g, src, parts, caps, np.zeros(k), floors, 1)
             after = cut_weight(g, parts)
             assert after <= before + 1e-12
             assert np.bincount(parts, minlength=k).min() >= 1
+
+
+def test_refinement_keeps_parts_above_their_value_floor():
+    # on a random graph every cut-reducing move drains some part; the floor stops it
+    rng = np.random.default_rng(23)
+    n, m, k = 400, 4000, 4
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
+    lows = np.full(k, 90.0)
+    parts = rng.permutation(np.arange(n) % k)
+    unbounded = parts.copy()
+    src = g.arc_sources()
+    _refine(g, src, unbounded, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 20)
+    _refine(g, src, parts, np.full(k, 110.0), lows, np.ones(k, dtype=np.int64), 20)
+    assert np.bincount(unbounded, minlength=k).min() < lows[0]
+    sizes = np.bincount(parts, minlength=k)
+    assert sizes.min() >= lows[0] and sizes.max() <= 110
 
 
 def test_infeasible_requests_raise():
