@@ -300,27 +300,28 @@ def test_bisection_balances_nonuniform_node_values():
             assert max(loads) <= cap
 
 
-@pytest.mark.parametrize("seed", [41, 16])
-def test_refinement_pass_never_increases_cut(seed):
-    # seed 16 includes a start where a filtered batch alone would raise the cut
-    rng = np.random.default_rng(seed)
-    for trial in range(10):
-        n = int(rng.integers(8, 30))
-        m = int(rng.integers(n, 4 * n))
-        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
-                       rng.uniform(0.1, 3.0, m))
-        k = 2 + trial % 3
-        parts = rng.integers(0, k, n)
-        parts[:k] = np.arange(k)
-        caps = np.full(k, float(n))
-        floors = np.ones(k, dtype=np.int64)
-        src = g.arc_sources()
-        for _ in range(4):
-            before = cut_weight(g, parts)
-            _refine(g, src, parts, caps, np.zeros(k), floors, 1)
-            after = cut_weight(g, parts)
-            assert after <= before + 1e-12
-            assert np.bincount(parts, minlength=k).min() >= 1
+def test_refinement_pass_never_increases_cut():
+    # seeds 16 and 279 each include a start where a filtered batch alone would
+    # raise the cut (16 with the filter ahead of admission, 279 with it after)
+    for seed in (41, 16, 279):
+        rng = np.random.default_rng(seed)
+        for trial in range(10):
+            n = int(rng.integers(8, 30))
+            m = int(rng.integers(n, 4 * n))
+            g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                           rng.uniform(0.1, 3.0, m))
+            k = 2 + trial % 3
+            parts = rng.integers(0, k, n)
+            parts[:k] = np.arange(k)
+            caps = np.full(k, float(n))
+            floors = np.ones(k, dtype=np.int64)
+            src = g.arc_sources()
+            for _ in range(4):
+                before = cut_weight(g, parts)
+                _refine(g, src, parts, caps, np.zeros(k), floors, 1)
+                after = cut_weight(g, parts)
+                assert after <= before + 1e-12
+                assert np.bincount(parts, minlength=k).min() >= 1
 
 
 def test_refinement_keeps_parts_above_their_value_floor():
