@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
 from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _csr_from_canonical, _read_text,
-                          _write_lines, induced_subgraph)
+                          _scalar_rows, _write_lines, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -157,12 +158,10 @@ def concat_global(feats: FeatureTable, global_feats: FeatureTable,
 def write_feature_table(table: FeatureTable, dest: str | Path | IO,
                         ids: np.ndarray | None = None) -> None:
     """Write ``id<TAB>f1...<TAB>fF`` rows under a ``#dim F`` header."""
-    if ids is None:
-        ids = np.arange(len(table), dtype=np.int64)
-    lines = [f"#dim {table.dimension}\n"]
-    for i, row in zip(ids, table.rows):
-        lines.append(f"{i}\t" + "\t".join(repr(float(x)) for x in row) + "\n")
-    _write_lines(dest, lines)
+    ids = np.arange(len(table)) if ids is None else np.asarray(ids)
+    rows = _scalar_rows(ids, table.rows)
+    _write_lines(dest, chain([f"#dim {table.dimension}\n"],
+                             (f"{i}\t" + "\t".join(map(repr, row)) + "\n" for i, row in rows)))
 
 
 def read_feature_table(source: str | Path | IO) -> tuple[FeatureTable, np.ndarray]:

@@ -19,8 +19,8 @@ from lppart.augment import (PagerankParams, aggregate_features, concat_global, p
                             read_feature_table, refine_structure, write_feature_table)
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _write_lines, load_edge_list,
-                          write_edge_list)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _scalar_rows, _write_lines,
+                          load_edge_list, write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
@@ -121,7 +121,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    t0 = time.perf_counter()
     g, id_map = load_edge_list(args.input)
+    load_ms = (time.perf_counter() - t0) * 1000.0
     cfg = PartitionConfig(
         k=args.k,
         lp=LpParams(p_ratio=args.p_ratio, p_bound=args.p_bound,
@@ -131,7 +133,10 @@ def _cmd_partition(args) -> int:
         min_subgraph_warn=args.min_subgraph_warn,
     )
     result = partition_graph(g, cfg)
+    t0 = time.perf_counter()
     write_partition_file(result.parts, id_map, args.out)
+    result.timings_ms = {"load_ms": load_ms, **result.timings_ms,
+                         "write_ms": (time.perf_counter() - t0) * 1000.0}
     if args.manifest:
         write_manifest(args.manifest, cfg, result, threads=args.threads)
     logger.info("partitioned %d nodes into %d parts", g.node_count, args.k)
@@ -176,7 +181,8 @@ def _cmd_refine(args) -> int:
 def _cmd_pagerank(args) -> int:
     g, id_map = load_edge_list(args.input)
     scores = pagerank(g, PagerankParams(alpha=args.alpha))
-    _write_lines(args.out, (f"{e}\t{float(s)!r}\n" for e, s in zip(id_map.external_ids, scores)))
+    rows = _scalar_rows(id_map.external_ids, scores)
+    _write_lines(args.out, (f"{e}\t{s!r}\n" for e, s in rows))
     return 0
 
 

@@ -17,7 +17,8 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _merge_edges, _write_lines, write_edge_list
+from lppart.graph import (PartitionMap, WeightedGraph, _merge_edges, _scalar_rows, _write_lines,
+                          write_edge_list)
 
 MODE_EDGE = "edge"
 MODE_NODE = "node"
@@ -67,5 +68,5 @@ def write_coarse_graph(cg: CoarseGraph, edges_dest: str | Path | IO,
                        values_dest: str | Path | IO) -> None:
     """Write the coarse edge list plus a ``id<TAB>value<TAB>self_loop`` table."""
     write_edge_list(cg.graph, edges_dest)
-    rows = enumerate(zip(cg.graph.node_values, cg.self_loop_weight))
-    _write_lines(values_dest, [f"{i}\t{int(val)}\t{float(sl)!r}\n" for i, (val, sl) in rows])
+    rows = enumerate(_scalar_rows(cg.graph.node_values, cg.self_loop_weight))
+    _write_lines(values_dest, (f"{i}\t{val}\t{sl!r}\n" for i, (val, sl) in rows))

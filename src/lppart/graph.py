@@ -9,7 +9,10 @@ recording how many original nodes it represents after coarsening.
 
 from __future__ import annotations
 
+import io
 import logging
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -22,6 +25,8 @@ logger = logging.getLogger(__name__)
 _MAX_NODES = 2**31
 # external node ids are stored as signed 64-bit integers
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
+# rows the text writers convert to Python scalars at a time
+_ROW_BLOCK = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -154,6 +159,20 @@ def _read_text(source: str | Path | IO) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+def _scalar_rows(*columns: np.ndarray):
+    """Rows of equal-length numpy columns as tuples of Python scalars.
+
+    A 2-d column gives a list per row. Columns are converted with ``tolist``
+    one block at a time: formatting Python scalars is faster than formatting
+    numpy scalars, and memory stays bounded by the block.
+    """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns differ in length")
+    for start in range(0, n, _ROW_BLOCK):
+        yield from zip(*(c[start:start + _ROW_BLOCK].tolist() for c in columns))
+
+
 def _write_lines(dest: str | Path | IO, lines) -> None:
     """Write text lines to a path (UTF-8, no newline translation) or a text handle."""
     if isinstance(dest, (str, Path)):
@@ -267,23 +286,21 @@ def validate_graph(g: WeightedGraph) -> None:
         raise ValueError("duplicate arcs stored in adjacency")
 
 
-def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[WeightedGraph, IdMap]:
-    """Parse an edge-list TSV into a graph plus an id map.
+# np.loadtxt opens a str path through numpy's DataSource, which fetches URLs and
+# decompresses by suffix (a plain-text "x.tsv.gz" would fail); such names are
+# parsed from the text already read instead.
+_DATASOURCE_NAMES = re.compile(r"://|\.(gz|bz2|xz|lzma)$")
 
-    Lines are ``src<TAB>dst[<TAB>weight]``; ``#``-prefixed lines are ignored.
-    Parallel edges are merged by summing weights, self-loops are dropped with
-    a counted warning, and the graph is symmetrized. With ``weighted=False``
-    any weight column is ignored and every edge gets weight 1.0. Internal
-    indices are assigned in first-appearance order.
+
+def _parse_edge_lines(text: str, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line parser: id and weight columns of every data line, self-loops included.
+
+    Raises a ``GraphFormatError`` naming the first bad line.
     """
-    index_of: dict[int, int] = {}
-    ext_ids: list[int] = []
     srcs: list[int] = []
     dsts: list[int] = []
     wts: list[float] = []
-    self_loops = 0
-
-    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -308,32 +325,112 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
             if weighted:
                 w = parsed
         for e in (a, b):
-            if e not in index_of:
-                if not _ID_MIN <= e <= _ID_MAX:
-                    raise GraphFormatError(
-                        f"line {lineno}: node id {e} is outside the signed 64-bit range")
-                index_of[e] = len(ext_ids)
-                ext_ids.append(e)
-        if a == b:
-            self_loops += 1
-            continue
-        srcs.append(index_of[a])
-        dsts.append(index_of[b])
+            if not _ID_MIN <= e <= _ID_MAX:
+                raise GraphFormatError(
+                    f"line {lineno}: node id {e} is outside the signed 64-bit range")
+        srcs.append(a)
+        dsts.append(b)
         wts.append(w)
+    return (np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
+            np.array(wts, dtype=np.float64))
 
-    if not ext_ids:
+
+def _parse_edge_columns(source: str | Path | IO, text: str, weighted: bool):
+    """One ``np.loadtxt`` pass over input the line parser would read the same way.
+
+    Returns the columns as ``_parse_edge_lines`` would, or None when the
+    input needs the line parser: a ``#`` that does not start a line, a
+    ``\\r`` outside a CRLF pair, a first data line without 2 or 3 fields, or
+    anything ``np.loadtxt`` rejects or warns about (ids outside int64
+    included). Weights are validated here; a bad one also returns None.
+    """
+    if "#" in text and text.count("#") != text.count("\n#") + text.startswith("#"):
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    start, ncols = 0, 0
+    while start < len(text) and not ncols:
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].strip()
+        if line and not line.startswith("#"):
+            ncols = line.count("\t") + 1
+        start = end + 1
+    if ncols not in (2, 3):
+        return None
+    dtype = [("a", np.int64), ("b", np.int64), ("w", np.float64)][:ncols]
+    if isinstance(source, (str, Path)) and not _DATASOURCE_NAMES.search(str(source)):
+        lines = source  # loadtxt reads the file in its own chunks
+    else:
+        lines = io.BytesIO(text.encode("utf-8"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. float-to-int parsing on older numpy
+            cols = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments="#",
+                              encoding="utf-8", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if ncols == 2:
+        return cols["a"], cols["b"], np.ones(len(cols))
+    w = cols["w"]
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        return None
+    # a copy, so the parsed rows are freed once the ids are numbered
+    return cols["a"], cols["b"], w.copy() if weighted else np.ones(len(w))
+
+
+def _number_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number ids densely in first-appearance order over ``a0, b0, a1, b1, ...``.
+
+    Returns the ids in that order and the indices of ``a`` and ``b``.
+    """
+    ids = np.empty(2 * len(a), dtype=np.int64)
+    ids[0::2] = a
+    ids[1::2] = b
+    unique, inverse = np.unique(ids, return_inverse=True)
+    first = np.full(len(unique), len(ids))
+    np.minimum.at(first, inverse, np.arange(len(ids)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return unique[order], rank[inverse[0::2]], rank[inverse[1::2]]
+
+
+def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[WeightedGraph, IdMap]:
+    """Parse an edge-list TSV into a graph plus an id map.
+
+    Lines are ``src<TAB>dst[<TAB>weight]``; ``#``-prefixed lines are ignored.
+    Node ids are parsed as exact signed 64-bit integers, weights as float64.
+    Parallel edges are merged by summing their weights, self-loops are
+    dropped with a counted warning, and the graph is symmetrized. With
+    ``weighted=False`` any weight column is still validated but every edge
+    gets weight 1.0. Internal indices are assigned in first-appearance order.
+
+    A well-formed file is parsed by one ``np.loadtxt`` call; anything else
+    goes to the line parser, which reports the first bad line by number in
+    a ``GraphFormatError``.
+    """
+    text = _read_text(source)
+    columns = _parse_edge_columns(source, text, weighted)
+    a, b, w = columns if columns is not None else _parse_edge_lines(text, weighted)
+    del text, columns  # freed before the graph build, which sets the peak memory
+    if not len(a):
         raise GraphFormatError("empty input: no edges or nodes found")
-    if self_loops:
-        logger.warning("dropped %d self-loop edge(s) while loading", self_loops)
-    g = from_edges(len(ext_ids), srcs, dsts, wts)
-    return g, IdMap(np.asarray(ext_ids, dtype=np.int64))
+    ext_ids, src, dst = _number_ids(a, b)
+    del a, b
+    loops = src == dst
+    if loops.any():
+        logger.warning("dropped %d self-loop edge(s) while loading", int(loops.sum()))
+        keep = ~loops
+        src, dst, w = src[keep], dst[keep], w[keep]
+    return from_edges(len(ext_ids), src, dst, w), IdMap(ext_ids)
 
 
 def write_edge_list(g: WeightedGraph, dest: str | Path | IO, id_map: IdMap | None = None) -> None:
     """Write canonical undirected edges as ``src<TAB>dst<TAB>weight`` lines."""
     u, v, w = g.edge_array()
     ext = id_map.external_ids if id_map is not None else np.arange(g.node_count, dtype=np.int64)
-    _write_lines(dest, [f"{ext[a]}\t{ext[b]}\t{float(ww)!r}\n" for a, b, ww in zip(u, v, w)])
+    _write_lines(dest, (f"{a}\t{b}\t{ww!r}\n" for a, b, ww in _scalar_rows(ext[u], ext[v], w)))
 
 
 def write_node_set(nodes, dest: str | Path | IO, id_map: IdMap | None = None) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
 from lppart.graph import (_ID_MAX, _ID_MIN, IdMap, PartitionMap, WeightedGraph, _read_text,
-                          _write_lines)
+                          _scalar_rows, _write_lines)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
@@ -147,8 +147,8 @@ def export_coarse(g: WeightedGraph, parts: PartitionMap) -> CoarseGraph:
 
 def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | IO) -> None:
     """Write ``external_node_id<TAB>part_id`` lines in internal node order."""
-    ext = id_map.external_ids
-    _write_lines(dest, [f"{ext[i]}\t{parts.assignment[i]}\n" for i in range(len(parts))])
+    rows = _scalar_rows(id_map.external_ids, parts.assignment)
+    _write_lines(dest, (f"{e}\t{p}\n" for e, p in rows))
 
 
 def _read_partition_rows(source: str | Path | IO):

@@ -232,8 +232,9 @@ def test_criterion_6_near_linear_scaling(tmp_path):
                 times.append(time.perf_counter() - start)
             medians[tag] = sorted(times)[1]
         ratio = medians["2m"] / medians["1m"]
-        print(f"  medians: 1M={medians['1m']:.1f}s 2M={medians['2m']:.1f}s ratio={ratio:.2f}")
-        assert ratio <= 2.5
+        summary = f"medians: 1M={medians['1m']:.1f}s 2M={medians['2m']:.1f}s ratio={ratio:.2f}"
+        print(f"  {summary}")
+        assert ratio <= 2.5, summary
     except AssertionError:
         _fail(6, name)
         raise

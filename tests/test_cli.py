@@ -30,6 +30,8 @@ def test_gen_partition_metrics_happy_path(tmp_path):
     assert manifest_data["config"]["t_iterations"] == 2
     assert manifest_data["config"]["outer_t"] == 2
     assert manifest_data["config"]["k"] == 2
+    assert set(manifest_data["timings_ms"]) == {"load_ms", "label_prop_ms", "coarsen_ms",
+                                                "kway_ms", "write_ms"}
 
 
 def test_partition_runs_are_byte_identical(tmp_path):

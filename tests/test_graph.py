@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from lppart import graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, from_edges, induced_subgraph,
                           load_edge_list, validate_graph, write_edge_list)
@@ -61,6 +62,94 @@ def test_load_rejects_bad_weights():
 def test_load_empty_input_is_an_error():
     with pytest.raises(GraphFormatError, match="empty"):
         _load("# nothing here\n")
+
+
+# Loader inputs, written as UTF-8 unless given as bytes.
+_LOADER_CASES = {
+    "underscore id": "1_0\t2\n",
+    "arabic-indic digit id": "\u0663\t2\n",
+    "float id": "1.0\t2\n",
+    "exponent id": "1e3\t2\n",
+    "id 2**63": f"{2**63}\t1\n",
+    "exact int64 ids": f"{2**53 + 1}\t{2**63 - 1}\t0.5\n{-2**63}\t{2**53 + 1}\t1.5\n",
+    "trailing tab after weight": "1\t2\t0.5\t\n",
+    "leading tab": "\t1\t2\n",
+    "hex float weight": "1\t2\t0x1p3\n",
+    "nan weight": "1\t2\tnan\n",
+    "inf weight": "1\t2\tinf\n",
+    "overflowing weight": "1\t2\t0.5\n3\t4\t1e400\n",
+    "lone carriage return": "1\t2\t0.5\n3\t4\t0.5\r5\t6\t0.5\n",
+    "no-break space": "1\u00a0\t2\n",
+    "mid-line hash": "1\t2#x\n",
+    "hash header": "# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\n1\t2\n2\t3\n",
+    "two then three columns": "1\t2\n3\t4\t0.5\n",
+    "three then two columns": "1\t2\t0.5\n3\t4\n",
+    "leading byte order mark": "\ufeff1\t2\n",
+    "self-loop on first appearance": "5\t5\n3\t5\n",
+    "crlf": "1\t2\t0.5\r\n2\t3\t1.5\r\n",
+    "indented comment": "  # comment\n1\t2\n",
+    "comments only": "# nothing\n\n",
+    "invalid utf-8": b"1\t2\n\xff\t3\n",
+}
+
+
+def _loader_outcome(load):
+    try:
+        g, id_map = load()
+    except (GraphFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return [a.tolist() for a in (g.neighbor_offsets, g.neighbor_targets, g.edge_weights,
+                                 g.node_values, id_map.external_ids)]
+
+
+@pytest.mark.parametrize("name", sorted(_LOADER_CASES))
+@pytest.mark.parametrize("weighted", [True, False])
+def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name, weighted):
+    data = _LOADER_CASES[name]
+    data = data if isinstance(data, bytes) else data.encode("utf-8")
+    # np.loadtxt would gunzip a path named *.gz; the loader reads it as plain text
+    paths = [tmp_path / "g.tsv", tmp_path / "plain.tsv.gz"]
+    for path in paths:
+        path.write_bytes(data)
+    sources = [lambda: paths[0], lambda: paths[1], lambda: io.BytesIO(data)]
+
+    def outcomes():
+        return [_loader_outcome(lambda: load_edge_list(src(), weighted=weighted))
+                for src in sources]
+
+    fast = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_parse_edge_columns", lambda *args: None)
+        lines_only = outcomes()
+    assert fast == lines_only
+
+
+def test_loader_numbers_self_loop_ids_and_keeps_exact_ids(monkeypatch):
+    monkeypatch.setattr(graph, "_parse_edge_lines", None)  # both files take the fast path
+    g, id_map = _load("5\t5\n3\t5\n")
+    assert id_map.external_ids.tolist() == [5, 3]
+    assert g.edge_count == 1
+    _, id_map = _load(_LOADER_CASES["exact int64 ids"])
+    assert id_map.external_ids.tolist() == [2**53 + 1, 2**63 - 1, -2**63]
+
+
+def test_well_formed_files_skip_the_line_parser(tmp_path, monkeypatch):
+    calls = []
+    line_parser = graph._parse_edge_lines
+    monkeypatch.setattr(graph, "_parse_edge_lines",
+                        lambda *args: calls.append(1) or line_parser(*args))
+    buf = io.StringIO()
+    write_edge_list(generate(GeneratorSpec("random_weighted", (50, 200, 0.1, 1.0), seed=3)), buf)
+    for name, text in (("plain.tsv", buf.getvalue()),
+                       ("header.tsv", "# generated\n# src\tdst\tweight\n" + buf.getvalue())):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        expected = _loader_outcome(lambda: load_edge_list(path))
+        assert _loader_outcome(lambda: _load(text)) == expected
+        assert calls == []
+    with pytest.raises(GraphFormatError, match="line 2"):
+        _load("1\t2\nx\t3\n")
+    assert calls == [1]
 
 
 def test_round_trip_write_then_load():

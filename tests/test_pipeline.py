@@ -220,6 +220,8 @@ def test_partition_file_round_trip():
     back = read_partition_file(io.BytesIO(buf.getvalue().encode()), id_map)
     assert np.array_equal(back.assignment, parts.assignment)
     assert back.num_parts == 3
+    with pytest.raises(ValueError, match="length"):
+        write_partition_file(parts, IdMap(np.array([100, 7, 42])), io.StringIO())
 
 
 def test_partition_file_must_be_total():

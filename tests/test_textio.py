@@ -1,10 +1,14 @@
-"""Every text reader and writer treats paths and open handles alike."""
+"""Every text reader and writer treats paths and open handles alike.
+
+Writers also give the same text whatever the row block they convert at a time.
+"""
 
 import io
 
 import numpy as np
 import pytest
 
+from lppart import graph
 from lppart.augment import FeatureTable, read_feature_table, write_feature_table
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.graph import (IdMap, PartitionMap, from_edges, load_edge_list, read_node_set,
@@ -59,6 +63,17 @@ def test_readers_agree_on_path_bytes_and_text_handles(tmp_path, name):
         assert len(other) == len(results[0])
         for a, b in zip(results[0], other):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writers_give_the_same_text_for_any_row_block(monkeypatch, name):
+    texts = []
+    for block in (graph._ROW_BLOCK, 1):
+        monkeypatch.setattr(graph, "_ROW_BLOCK", block)
+        buf = io.StringIO()
+        _WRITERS[name](buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("name", sorted(_WRITERS))
