@@ -17,8 +17,9 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _csr_from_canonical, _read_text,
-                          _scalar_rows, _write_lines, induced_subgraph)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph,
+                          _comment_lines, _csr_from_canonical, _data_lines, _line_of_row,
+                          _read_table, _read_text, _scalar_rows, _write_lines, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -168,32 +169,25 @@ def read_feature_table(source: str | Path | IO) -> tuple[FeatureTable, np.ndarra
     """Read a feature TSV; returns the table plus the id column.
 
     The row width comes from the ``#dim F`` header or, without one, from the
-    first row; a row of any other width is an error naming its line.
+    first row; a row of any other width and an id that repeats are errors
+    naming their line.
     """
-    dim = None
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "dim":
-                if not fields[1].isdigit() or (rows and int(fields[1]) != dim):
-                    raise ValueError(f"line {lineno}: malformed '#dim' header")
-                dim = int(fields[1])
-            continue
-        fields = line.split("\t")
-        try:
-            ids.append(int(fields[0]))
-            rows.append([float(x) for x in fields[1:]])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed feature row") from None
-        if dim is None:
-            dim = len(rows[-1])
-        elif len(rows[-1]) != dim:
-            raise ValueError(f"line {lineno}: expected {dim} feature value(s)")
-    if not rows:
-        raise ValueError("empty feature table")
-    return FeatureTable(np.asarray(rows)), np.asarray(ids, dtype=np.int64)
+    text = _read_text(source)
+    first = next(_data_lines(text), None)
+    if first is None:
+        raise GraphFormatError("empty feature table")
+    dim = first[1].count("\t")  # unless a header before the first row sets it
+    for lineno, line in _comment_lines(text):
+        fields = line[1:].split()
+        if len(fields) == 2 and fields[0] == "dim":
+            if not fields[1].isdecimal() or (lineno > first[0] and int(fields[1]) != dim):
+                raise GraphFormatError(f"line {lineno}: malformed '#dim' header")
+            dim = int(fields[1])
+    ids, rows = _read_table(source, text, ("node id",), ("feature value",) * dim)
+    ids = ids[:, 0]
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if len(repeats):
+        row = repeats.min()
+        raise GraphFormatError(f"line {_line_of_row(text, row)}: repeated node id {ids[row]}")
+    return FeatureTable(rows), ids

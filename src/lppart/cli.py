@@ -19,12 +19,12 @@ from lppart.augment import (PagerankParams, aggregate_features, concat_global, p
                             read_feature_table, refine_structure, write_feature_table)
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _scalar_rows, _write_lines,
-                          load_edge_list, write_edge_list)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _read_table, _read_text,
+                          _scalar_rows, _write_lines, load_edge_list, write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
-from lppart.pipeline import (PartitionConfig, _read_partition_rows, partition_graph,
+from lppart.pipeline import (_PARTITION_COLUMNS, PartitionConfig, partition_graph,
                              read_partition_file, sample_subgraphs, write_manifest,
                              write_partition_file)
 
@@ -187,11 +187,11 @@ def _cmd_pagerank(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    # a repeated id keeps its last part
-    last_part = {ext: part for _, ext, part in _read_partition_rows(args.parts)}
-    if not last_part:
+    rows, _ = _read_table(args.parts, _read_text(args.parts), _PARTITION_COLUMNS)
+    if not len(rows):
         raise GraphFormatError("empty partition file")
-    assign = np.fromiter(last_part.values(), dtype=np.int64)
+    _, last = np.unique(rows[::-1, 0], return_index=True)  # a repeated id keeps its last part
+    assign = rows[::-1, 1][last]
     for pid in sample_subgraphs(PartitionMap(assign, int(assign.max()) + 1), args.ratio, args.seed):
         print(int(pid))
     return 0

@@ -30,7 +30,7 @@ _ROW_BLOCK = 1 << 16
 
 
 class GraphFormatError(ValueError):
-    """Malformed or empty edge-list input."""
+    """Malformed or empty input in one of the tab-separated text formats."""
 
 
 @dataclass
@@ -45,18 +45,27 @@ class IdMap:
 
     def __post_init__(self):
         self.external_ids = np.asarray(self.external_ids, dtype=np.int64)
-        self._index_of = {int(e): i for i, e in enumerate(self.external_ids)}
-        if len(self._index_of) != len(self.external_ids):
+        self._order = np.argsort(self.external_ids)
+        self._sorted = self.external_ids[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
             raise ValueError("external ids are not unique")
 
     def __len__(self) -> int:
         return len(self.external_ids)
 
+    def lookup(self, external: np.ndarray) -> np.ndarray:
+        """Internal index of each external id, -1 where the id is unknown."""
+        external = np.asarray(external, dtype=np.int64)
+        if not len(self._sorted):
+            return np.full(external.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted, external), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == external, self._order[pos], -1)
+
     def to_internal(self, external: int) -> int:
-        try:
-            return self._index_of[int(external)]
-        except KeyError:
-            raise KeyError(f"unknown external id {external}") from None
+        index = int(self.lookup([external])[0])
+        if index < 0:
+            raise KeyError(f"unknown external id {external}")
+        return index
 
     def to_external(self, index: int) -> int:
         return int(self.external_ids[index])
@@ -292,73 +301,80 @@ def validate_graph(g: WeightedGraph) -> None:
 _DATASOURCE_NAMES = re.compile(r"://|\.(gz|bz2|xz|lzma)$")
 
 
-def _parse_edge_lines(text: str, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line parser: id and weight columns of every data line, self-loops included.
+def _data_lines(text: str):
+    """Line number and stripped text of each line neither blank nor a ``#`` comment, lazily."""
+    start, lineno = 0, 1
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+        start, lineno = end + 1, lineno + 1
 
-    Raises a ``GraphFormatError`` naming the first bad line.
-    """
-    srcs: list[int] = []
-    dsts: list[int] = []
-    wts: list[float] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+def _comment_lines(text: str):
+    """Line number and stripped text of each ``#`` comment line, found from the ``#`` characters."""
+    lineno, counted = 1, 0
+    for match in re.finditer("#.*", text):
+        start = text.rfind("\n", 0, match.start()) + 1
+        if not text[start:match.start()].strip():
+            lineno += text.count("\n", counted, start)
+            counted = start
+            yield lineno, match.group().strip()
+
+
+def _line_of_row(text: str, row: int) -> int:
+    """Line number of data row ``row`` (counted from 0) of a table."""
+    return next(lineno for i, (lineno, _) in enumerate(_data_lines(text)) if i == row)
+
+
+def _parse_lines(text: str, ids: tuple[str, ...], values: tuple[str, ...],
+                 required: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line parser of ``_read_table``; raises a ``GraphFormatError`` naming the first bad line."""
+    total = len(ids) + len(values)
+    want = f"{required} to {total}" if required < total else str(total)
+    columns = [(n, int, "an integer") for n in ids] + [(n, float, "a number") for n in values]
+    rows = []
+    for lineno, line in _data_lines(text):
         fields = line.split("\t")
-        if len(fields) not in (2, 3):
+        if not required <= len(fields) <= total:
             raise GraphFormatError(
-                f"line {lineno}: expected 'src<TAB>dst[<TAB>weight]', got {len(fields)} field(s)")
-        try:
-            a = int(fields[0])
-            b = int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: node ids must be integers") from None
-        w = 1.0
-        if len(fields) == 3:
+                f"line {lineno}: expected {want} tab-separated field(s), got {len(fields)}")
+        row = []
+        for (name, parse, kind), field in zip(columns, fields):
             try:
-                parsed = float(fields[2])
+                row.append(parse(field))
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: edge weight is not a number") from None
-            if not np.isfinite(parsed) or parsed <= 0:
+                raise GraphFormatError(f"line {lineno}: {name} is not {kind}") from None
+        for name, value in zip(ids, row):
+            if not _ID_MIN <= value <= _ID_MAX:
                 raise GraphFormatError(
-                    f"line {lineno}: edge weight must be finite and positive, got {fields[2]}")
-            if weighted:
-                w = parsed
-        for e in (a, b):
-            if not _ID_MIN <= e <= _ID_MAX:
-                raise GraphFormatError(
-                    f"line {lineno}: node id {e} is outside the signed 64-bit range")
-        srcs.append(a)
-        dsts.append(b)
-        wts.append(w)
-    return (np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
-            np.array(wts, dtype=np.float64))
+                    f"line {lineno}: {name} {value} is outside the signed 64-bit range")
+        rows.append(row + [1.0] * (total - len(fields)))
+    table = np.array(rows, dtype=object).reshape(len(rows), total)
+    return table[:, :len(ids)].astype(np.int64), table[:, len(ids):].astype(np.float64)
 
 
-def _parse_edge_columns(source: str | Path | IO, text: str, weighted: bool):
+def _parse_columns(source: str | Path | IO, text: str, ints: int, total: int, required: int):
     """One ``np.loadtxt`` pass over input the line parser would read the same way.
 
-    Returns the columns as ``_parse_edge_lines`` would, or None when the
-    input needs the line parser: a ``#`` that does not start a line, a
-    ``\\r`` outside a CRLF pair, a first data line without 2 or 3 fields, or
-    anything ``np.loadtxt`` rejects or warns about (ids outside int64
-    included). Weights are validated here; a bad one also returns None.
+    Returns None when the input needs the line parser: a ``#`` that does not
+    start a line, a ``\\r`` outside a CRLF pair, a first data line with a
+    field count out of range, or anything ``np.loadtxt`` rejects or warns
+    about (ids outside int64 included).
     """
     if "#" in text and text.count("#") != text.count("\n#") + text.startswith("#"):
         return None
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
-    start, ncols = 0, 0
-    while start < len(text) and not ncols:
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        line = text[start:end].strip()
-        if line and not line.startswith("#"):
-            ncols = line.count("\t") + 1
-        start = end + 1
-    if ncols not in (2, 3):
+    first = next(_data_lines(text), None)
+    ncols = first[1].count("\t") + 1 if first else 0
+    if not required <= ncols <= total:
         return None
-    dtype = [("a", np.int64), ("b", np.int64), ("w", np.float64)][:ncols]
+    dtype = [("ids", np.int64, (ints,))]
+    if ncols > ints:
+        dtype.append(("values", np.float64, (ncols - ints,)))
     if isinstance(source, (str, Path)) and not _DATASOURCE_NAMES.search(str(source)):
         lines = source  # loadtxt reads the file in its own chunks
     else:
@@ -370,23 +386,34 @@ def _parse_edge_columns(source: str | Path | IO, text: str, weighted: bool):
                               encoding="utf-8", ndmin=1)
     except (ValueError, Warning):
         return None
-    if ncols == 2:
-        return cols["a"], cols["b"], np.ones(len(cols))
-    w = cols["w"]
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        return None
-    # a copy, so the parsed rows are freed once the ids are numbered
-    return cols["a"], cols["b"], w.copy() if weighted else np.ones(len(w))
+    values = cols["values"] if ncols > ints else np.empty((len(cols), 0))
+    if ncols < total:
+        values = np.hstack([values, np.ones((len(cols), total - ncols))])
+    return cols["ids"], values
 
 
-def _number_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Number ids densely in first-appearance order over ``a0, b0, a1, b1, ...``.
+def _read_table(source: str | Path | IO, text: str, ids: tuple[str, ...],
+                values: tuple[str, ...] = (), required: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 id block and float64 value block of ``text``, the contents of ``source``.
 
-    Returns the ids in that order and the indices of ``a`` and ``b``.
+    Each line that is not blank or a ``#`` comment holds a tab-separated
+    field per name in ``ids``, then in ``values``, or at least ``required``
+    of them; missing values read as 1.0. One ``np.loadtxt`` call parses a
+    well-formed table; else the line parser names the first bad line.
     """
-    ids = np.empty(2 * len(a), dtype=np.int64)
-    ids[0::2] = a
-    ids[1::2] = b
+    total = len(ids) + len(values)
+    required = total if required is None else required
+    blocks = _parse_columns(source, text, len(ids), total, required)
+    return blocks if blocks is not None else _parse_lines(text, ids, values, required)
+
+
+def _number_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the ids of an ``(n, 2)`` block densely in first-appearance order, row by row.
+
+    Returns the ids in that order and the indices of both columns.
+    """
+    ids = pairs.reshape(-1)
     unique, inverse = np.unique(ids, return_inverse=True)
     first = np.full(len(unique), len(ids))
     np.minimum.at(first, inverse, np.arange(len(ids)))
@@ -406,18 +433,25 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
     ``weighted=False`` any weight column is still validated but every edge
     gets weight 1.0. Internal indices are assigned in first-appearance order.
 
-    A well-formed file is parsed by one ``np.loadtxt`` call; anything else
-    goes to the line parser, which reports the first bad line by number in
-    a ``GraphFormatError``.
+    A well-formed file is parsed by one ``np.loadtxt`` call, anything else
+    by the line parser; a malformed line, or a weight that is not finite and
+    positive, raises a ``GraphFormatError`` naming its line.
     """
     text = _read_text(source)
-    columns = _parse_edge_columns(source, text, weighted)
-    a, b, w = columns if columns is not None else _parse_edge_lines(text, weighted)
-    del text, columns  # freed before the graph build, which sets the peak memory
-    if not len(a):
+    pairs, weights = _read_table(source, text, ("node id", "node id"), ("edge weight",),
+                                 required=2)
+    w = weights[:, 0]
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        raise GraphFormatError(f"line {_line_of_row(text, bad[0])}: edge weight must be "
+                               f"finite and positive, got {float(w[bad[0]])!r}")
+    # a copy, so the parsed rows are freed once the ids are numbered
+    w = w.copy() if weighted else np.ones(len(w))
+    del text, weights  # freed before the graph build, which sets the peak memory
+    if not len(pairs):
         raise GraphFormatError("empty input: no edges or nodes found")
-    ext_ids, src, dst = _number_ids(a, b)
-    del a, b
+    ext_ids, src, dst = _number_ids(pairs)
+    del pairs
     loops = src == dst
     if loops.any():
         logger.warning("dropped %d self-loop edge(s) while loading", int(loops.sum()))
@@ -442,16 +476,8 @@ def write_node_set(nodes, dest: str | Path | IO, id_map: IdMap | None = None) ->
 
 def read_node_set(source: str | Path | IO) -> np.ndarray:
     """Read a one-id-per-line node set; returns sorted unique external ids."""
-    ids = []
-    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: node id is not an integer") from None
-    return np.unique(np.asarray(ids, dtype=np.int64))
+    ids, _ = _read_table(source, _read_text(source), ("node id",))
+    return np.unique(ids)
 
 
 def induced_subgraph(g: WeightedGraph, nodes) -> tuple[WeightedGraph, IdMap]:

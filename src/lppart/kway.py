@@ -40,6 +40,9 @@ _COARSEST_PER_PART = 20
 # grids are matched after 4 rounds, but dense graphs still match about a seventh
 # of their nodes in rounds 5 and 6; fewer matches leave more, larger levels to hold
 _MATCH_ROUNDS = 6
+# bounds on the depth of the matching hierarchy and on refinement rounds per level
+_MAX_LEVELS = 20
+_REFINE_ROUNDS = 4
 
 
 class InfeasibleError(ValueError):
@@ -48,22 +51,14 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class BisectConfig:
-    """Knobs for the k-way stage.
-
-    ``max_coarsen_levels`` bounds the depth of the matching hierarchy and
-    ``refine_passes`` the refinement rounds at each level.
-    """
+    """Knobs for the k-way stage."""
 
     epsilon: float = 0.1
     seed: int = 42
-    max_coarsen_levels: int = 20
-    refine_passes: int = 4
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.max_coarsen_levels < 1 or self.refine_passes < 1:
-            raise ValueError("level and pass counts must be >= 1")
 
 
 def per_part_cap(total: float, k: int, epsilon: float) -> float:
@@ -174,8 +169,8 @@ def _components(g: WeightedGraph) -> tuple[np.ndarray, int]:
     return comp, count
 
 
-def _initial_side(g: WeightedGraph, target0: float, caps: tuple[float, float],
-                  floors: tuple[int, int], seed: int) -> np.ndarray:
+def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float,
+                  caps: tuple[float, float], floors: tuple[int, int], seed: int) -> np.ndarray:
     """Assign whole connected components to side 0 greedily (largest value
     first) up to the value target, then, if a gap remains that neither side's
     cap already tolerates, fill it by region growing from a seeded peripheral
@@ -185,7 +180,6 @@ def _initial_side(g: WeightedGraph, target0: float, caps: tuple[float, float],
     vals = g.node_values
     total = float(vals.sum())
     side = np.ones(n, dtype=np.int64)
-    comp, ncomp = _components(g)
     comp_val = np.bincount(comp, weights=vals.astype(np.float64), minlength=ncomp)
     comp_cnt = np.bincount(comp, minlength=ncomp)
     load0 = 0.0
@@ -198,10 +192,10 @@ def _initial_side(g: WeightedGraph, target0: float, caps: tuple[float, float],
             continue
         if assigned + comp_cnt[c] > n - floors[1]:
             continue
-        side[comp == c] = 0
         load0 += float(comp_val[c])
         assigned += int(comp_cnt[c])
         packed[c] = True
+    side[packed[comp]] = 0
 
     balanced_already = (assigned >= floors[0]
                         and load0 <= caps[0] and (total - load0) <= caps[1]
@@ -416,8 +410,7 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
             return
 
 
-def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, cfg: BisectConfig,
-            seed: int) -> np.ndarray:
+def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, seed: int) -> np.ndarray:
     """Split ``g`` into two sides that will hold k1 and k2 parts, each part
     with value between ``low`` and ``cap``."""
     total = float(g.node_values.sum())
@@ -425,14 +418,15 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, cfg: Bis
     lows = np.array([low * k1, low * k2])
     floors = np.array([k1, k2])
     src = g.arc_sources()
+    comp, ncomp = _components(g)
     # several seeded growths; keep the cheapest cut
     side = None
     best_cut = math.inf
     for attempt in range(4):
-        cand = _initial_side(g, total * k1 / (k1 + k2), (caps[0], caps[1]), (k1, k2),
-                             derive_seed(seed, "grow", attempt))
+        cand = _initial_side(g, comp, ncomp, total * k1 / (k1 + k2), (caps[0], caps[1]),
+                             (k1, k2), derive_seed(seed, "grow", attempt))
         _rebalance(g, src, cand, caps, lows, floors)
-        _refine(g, src, cand, caps, lows, floors, cfg.refine_passes)
+        _refine(g, src, cand, caps, lows, floors, _REFINE_ROUNDS)
         cand_cut = cut_weight(g, cand)
         if cand_cut < best_cut:
             best_cut = cand_cut
@@ -441,27 +435,26 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, cfg: Bis
 
 
 def _recurse(g: WeightedGraph, index_in_root: np.ndarray, k: int, base: int, cap: float,
-             low: float, cfg: BisectConfig, seed: int, out: np.ndarray) -> None:
+             low: float, seed: int, out: np.ndarray) -> None:
     if k == 1:
         out[index_in_root] = base
         return
     k1 = (k + 1) // 2
     k2 = k // 2
-    side = _bisect(g, k1, k2, cap, low, cfg, seed)
+    side = _bisect(g, k1, k2, cap, low, seed)
     left = np.flatnonzero(side == 0)
     right = np.flatnonzero(side == 1)
     sub_l, _ = induced_subgraph(g, left)
     sub_r, _ = induced_subgraph(g, right)
-    _recurse(sub_l, index_in_root[left], k1, base, cap, low, cfg, derive_seed(seed, "L"), out)
-    _recurse(sub_r, index_in_root[right], k2, base + k1, cap, low, cfg,
-             derive_seed(seed, "R"), out)
+    _recurse(sub_l, index_in_root[left], k1, base, cap, low, derive_seed(seed, "L"), out)
+    _recurse(sub_r, index_in_root[right], k2, base + k1, cap, low, derive_seed(seed, "R"), out)
 
 
 def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     """Partition a coarse graph into exactly ``k`` non-empty, value-balanced parts.
 
     One handshake-matching hierarchy shrinks the graph to at most ``20 k``
-    nodes (or ``cfg.max_coarsen_levels`` levels); the coarsest graph is
+    nodes (or ``_MAX_LEVELS`` levels); the coarsest graph is
     split by recursive bisection, and each level on the way up is rebalanced
     and refined k-way. The per-part cap is ``C = (1 + epsilon) * ceil(W / k)``
     with ``W`` the total node value. When every node value is 1, every part
@@ -486,7 +479,7 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     maps: list[np.ndarray] = []
     max_mass = max(float(g.node_values.max()), cap / 4)
     stop = _COARSEST_PER_PART * k
-    for lvl in range(cfg.max_coarsen_levels):
+    for lvl in range(_MAX_LEVELS):
         cur = graphs[-1]
         if cur.node_count <= stop:
             break
@@ -499,8 +492,8 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
 
     coarsest = graphs[-1]
     parts = np.empty(coarsest.node_count, dtype=np.int64)
-    _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, low, cfg,
-             cfg.seed, parts)
+    _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, low, cfg.seed,
+             parts)
     caps = np.full(k, cap)
     lows = np.full(k, low)
     floors = np.ones(k, dtype=np.int64)
@@ -508,7 +501,7 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
         cur = graphs.pop()  # a level is released once its parts are projected up
         src = cur.arc_sources()
         _rebalance(cur, src, parts, caps, lows, floors)
-        _refine(cur, src, parts, caps, lows, floors, cfg.refine_passes)
+        _refine(cur, src, parts, caps, lows, floors, _REFINE_ROUNDS)
         if not maps:
             break
         parts = parts[maps.pop()]

@@ -23,13 +23,15 @@ from typing import IO
 import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
-from lppart.graph import (_ID_MAX, _ID_MIN, IdMap, PartitionMap, WeightedGraph, _read_text,
-                          _scalar_rows, _write_lines)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, _line_of_row,
+                          _read_table, _read_text, _scalar_rows, _write_lines)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
+
+_PARTITION_COLUMNS = ("node id", "part id")
 
 
 @dataclass(frozen=True)
@@ -151,38 +153,21 @@ def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | 
     _write_lines(dest, (f"{e}\t{p}\n" for e, p in rows))
 
 
-def _read_partition_rows(source: str | Path | IO):
-    """Yield ``(line_number, external_id, part_id)`` for each data line of a partition file."""
-    for lineno, raw in enumerate(_read_text(source).split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'node_id<TAB>part_id'")
-        try:
-            ext, part = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: ids must be integers") from None
-        for name, value in (("node", ext), ("part", part)):
-            if not _ID_MIN <= value <= _ID_MAX:
-                raise ValueError(
-                    f"line {lineno}: {name} id {value} is outside the signed 64-bit range")
-        yield lineno, ext, part
-
-
 def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
     """Read a partition file; every graph node must be assigned."""
-    assign = np.full(len(id_map), -1, dtype=np.int64)
-    for lineno, ext, part in _read_partition_rows(source):
-        try:
-            index = id_map.to_internal(ext)
-        except KeyError:
-            raise ValueError(f"line {lineno}: unknown node id {ext}") from None
-        assign[index] = part
-    if (assign < 0).any():
-        missing = int((assign < 0).sum())
-        raise ValueError(f"partition file is not total: {missing} node(s) unassigned")
+    text = _read_text(source)
+    rows, _ = _read_table(source, text, _PARTITION_COLUMNS)
+    index = id_map.lookup(rows[:, 0])
+    unknown = np.flatnonzero(index < 0)
+    if len(unknown):
+        raise GraphFormatError(f"line {_line_of_row(text, unknown[0])}: "
+                               f"unknown node id {rows[unknown[0], 0]}")
+    # a repeated id keeps its last part
+    assigned, last = np.unique(index[::-1], return_index=True)
+    if len(assigned) < len(id_map):
+        missing = len(id_map) - len(assigned)
+        raise GraphFormatError(f"partition file is not total: {missing} node(s) unassigned")
+    assign = rows[::-1, 1][last]
     return PartitionMap(assign, int(assign.max()) + 1)
 
 

@@ -229,6 +229,21 @@ def test_features_malformed_table_names_the_line(tmp_path, capsys, text, line):
     assert "error:" in err and line in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (f"0\t1.0\n{2**63}\t2.0\n",
+     f"error: line 2: node id {2**63} is outside the signed 64-bit range\n"),
+    ("0\t1.0\n1\t2.0\n0\t3.0\n", "error: line 3: repeated node id 0\n"),
+], ids=["id 2**63", "repeated id"])
+def test_features_bad_node_id_names_the_line(tmp_path, capsys, text, message):
+    feats = tmp_path / "f.tsv"
+    parts = tmp_path / "p.tsv"
+    feats.write_text(text)
+    parts.write_text("0\t0\n1\t0\n")
+    assert run(["features", "aggregate", "--features", str(feats), "--parts", str(parts),
+                "--out", str(tmp_path / "agg.tsv")]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_sample_malformed_line_is_named(tmp_path, capsys):
     parts = tmp_path / "p.tsv"
     parts.write_text("1\t0\nx\t1\n")

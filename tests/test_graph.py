@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from lppart import graph
+from lppart.augment import FeatureTable, read_feature_table, write_feature_table
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, from_edges, induced_subgraph,
-                          load_edge_list, validate_graph, write_edge_list)
+                          load_edge_list, read_node_set, validate_graph, write_edge_list,
+                          write_node_set)
+from lppart.pipeline import read_partition_file, write_partition_file
 
 
 def _load(text, weighted=True):
@@ -93,39 +96,116 @@ _LOADER_CASES = {
 }
 
 
-def _loader_outcome(load):
+def _graph_arrays(loaded):
+    g, id_map = loaded
+    return (g.neighbor_offsets, g.neighbor_targets, g.edge_weights, g.node_values,
+            id_map.external_ids)
+
+
+def _outcome(read):
+    """The arrays ``read`` returns as lists, or the type and text of its error."""
     try:
-        g, id_map = load()
-    except (GraphFormatError, UnicodeDecodeError) as exc:
+        arrays = read()
+    except ValueError as exc:  # GraphFormatError, UnicodeDecodeError and the like
         return type(exc).__name__, str(exc)
-    return [a.tolist() for a in (g.neighbor_offsets, g.neighbor_targets, g.edge_weights,
-                                 g.node_values, id_map.external_ids)]
+    return [a.tolist() for a in arrays]
 
 
-@pytest.mark.parametrize("name", sorted(_LOADER_CASES))
-@pytest.mark.parametrize("weighted", [True, False])
-def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name, weighted):
-    data = _LOADER_CASES[name]
+def _feature_arrays(loaded):
+    table, ids = loaded
+    return [table.rows, ids]
+
+
+def _loader_outcome(load):
+    return _outcome(lambda: _graph_arrays(load()))
+
+
+def _assert_fast_path_agrees_with_line_parser(tmp_path, monkeypatch, data, read):
     data = data if isinstance(data, bytes) else data.encode("utf-8")
-    # np.loadtxt would gunzip a path named *.gz; the loader reads it as plain text
+    # np.loadtxt would gunzip a path named *.gz; the readers read it as plain text
     paths = [tmp_path / "g.tsv", tmp_path / "plain.tsv.gz"]
     for path in paths:
         path.write_bytes(data)
     sources = [lambda: paths[0], lambda: paths[1], lambda: io.BytesIO(data)]
 
     def outcomes():
-        return [_loader_outcome(lambda: load_edge_list(src(), weighted=weighted))
-                for src in sources]
+        return [_outcome(lambda: read(src())) for src in sources]
 
     fast = outcomes()
     with monkeypatch.context() as m:
-        m.setattr(graph, "_parse_edge_columns", lambda *args: None)
+        m.setattr(graph, "_parse_columns", lambda *args: None)
         lines_only = outcomes()
     assert fast == lines_only
 
 
+@pytest.mark.parametrize("name", sorted(_LOADER_CASES))
+@pytest.mark.parametrize("weighted", [True, False])
+def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name, weighted):
+    _assert_fast_path_agrees_with_line_parser(
+        tmp_path, monkeypatch, _LOADER_CASES[name],
+        lambda src: _graph_arrays(load_edge_list(src, weighted=weighted)))
+
+
+# Inputs for the other table readers, keyed by (reader, case).
+_TABLE_READERS = {
+    "partition": lambda src: [read_partition_file(src, IdMap([1, 2, 10])).assignment],
+    "feature table": lambda src: _feature_arrays(read_feature_table(src)),
+    "node set": lambda src: [read_node_set(src)],
+}
+_TABLE_CASES = {
+    ("partition", "well formed"): "1\t0\n2\t1\n10\t1\n",
+    ("partition", "underscore id"): "1_0\t1\n1\t0\n2\t0\n",
+    ("partition", "node id 2**63"): f"1\t0\n2\t0\n{2**63}\t1\n",
+    ("partition", "part id 2**63"): f"1\t0\n2\t{2**63}\n10\t0\n",
+    ("partition", "float part id"): "1\t0.0\n2\t0\n10\t0\n",
+    ("partition", "unknown id"): "1\t0\n2\t0\n7\t1\n",
+    ("partition", "repeated id keeps its last part"): "1\t0\n2\t0\n10\t0\n1\t2\n",
+    ("partition", "one field"): "1\n2\t0\n10\t0\n",
+    ("partition", "not total"): "1\t0\n",
+    ("partition", "crlf"): "1\t0\r\n2\t1\r\n10\t0\r\n",
+    ("partition", "byte order mark"): "\ufeff1\t0\n2\t0\n10\t0\n",
+    ("partition", "mid-line hash"): "1\t2#x\n2\t0\n10\t0\n",
+    ("partition", "hash header"): "# Nodes: 3\n# NodeId\tPart\n1\t0\n2\t1\n10\t0\n",
+    ("partition", "lone carriage return"): "1\t0\n2\t0\r10\t0\n",
+    ("feature table", "dim header"): "#dim 2\n7\t0.5\t1.5\n3\t2.0\t-1.0\n",
+    ("feature table", "no header"): "7\t0.5\n3\t2.0\n",
+    ("feature table", "underscore id"): "1_0\t0.5\n2\t1.5\n",
+    ("feature table", "id 2**63"): f"1\t0.5\n{2**63}\t1.5\n",
+    ("feature table", "nan value"): "1\t0.5\n2\tnan\n",
+    ("feature table", "overflowing value"): "1\t0.5\n2\t1e400\n",
+    ("feature table", "ragged row"): "0\t1.0\t2.0\n1\t3.0\n",
+    ("feature table", "dim 0"): "#dim 0\n1\n2\n",
+    ("feature table", "ids only"): "1\n2\n",
+    ("feature table", "dim 0 with a value"): "#dim 0\n1\t2.0\n",
+    ("feature table", "repeated id"): "1\t0.5\n2\t0.5\n1\t0.25\n",
+    ("feature table", "header after rows"): "1\t0.5\n#dim 1\n2\t1.5\n",
+    ("feature table", "mismatched header after rows"): "1\t0.5\n#dim 2\n2\t1.5\n",
+    ("feature table", "malformed header"): "#dim x\n1\t0.5\n",
+    ("feature table", "crlf"): "#dim 1\r\n1\t0.5\r\n2\t1.5\r\n",
+    ("feature table", "byte order mark"): "\ufeff1\t0.5\n2\t1.5\n",
+    ("feature table", "mid-line hash"): "1\t2#x\n",
+    ("feature table", "hash header"): "# Nodes: 2\n# NodeId\tF\n1\t0.5\n2\t1.5\n",
+    ("feature table", "header only"): "#dim 2\n",
+    ("node set", "well formed"): "9\n# comment\n3\n9\n",
+    ("node set", "underscore id"): "1_0\n2\n",
+    ("node set", "id 2**63"): f"1\n{2**63}\n",
+    ("node set", "two fields"): "1\n2\t3\n",
+    ("node set", "crlf"): "1\r\n2\r\n",
+    ("node set", "byte order mark"): "\ufeff1\n2\n",
+    ("node set", "mid-line hash"): "1#x\n",
+    ("node set", "hash header"): "# Nodes: 2\n# NodeId\n1\n2\n",
+    ("node set", "comments only"): "# nothing\n\n",
+}
+
+
+@pytest.mark.parametrize("reader, name", sorted(_TABLE_CASES))
+def test_table_readers_agree_with_line_parser(tmp_path, monkeypatch, reader, name):
+    _assert_fast_path_agrees_with_line_parser(
+        tmp_path, monkeypatch, _TABLE_CASES[reader, name], _TABLE_READERS[reader])
+
+
 def test_loader_numbers_self_loop_ids_and_keeps_exact_ids(monkeypatch):
-    monkeypatch.setattr(graph, "_parse_edge_lines", None)  # both files take the fast path
+    monkeypatch.setattr(graph, "_parse_lines", None)  # both files take the fast path
     g, id_map = _load("5\t5\n3\t5\n")
     assert id_map.external_ids.tolist() == [5, 3]
     assert g.edge_count == 1
@@ -135,8 +215,8 @@ def test_loader_numbers_self_loop_ids_and_keeps_exact_ids(monkeypatch):
 
 def test_well_formed_files_skip_the_line_parser(tmp_path, monkeypatch):
     calls = []
-    line_parser = graph._parse_edge_lines
-    monkeypatch.setattr(graph, "_parse_edge_lines",
+    line_parser = graph._parse_lines
+    monkeypatch.setattr(graph, "_parse_lines",
                         lambda *args: calls.append(1) or line_parser(*args))
     buf = io.StringIO()
     write_edge_list(generate(GeneratorSpec("random_weighted", (50, 200, 0.1, 1.0), seed=3)), buf)
@@ -150,6 +230,35 @@ def test_well_formed_files_skip_the_line_parser(tmp_path, monkeypatch):
     with pytest.raises(GraphFormatError, match="line 2"):
         _load("1\t2\nx\t3\n")
     assert calls == [1]
+
+
+def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
+    calls = []
+    line_parser = graph._parse_lines
+    monkeypatch.setattr(graph, "_parse_lines", lambda *args: calls.append(1) or line_parser(*args))
+    rng = np.random.default_rng(4)
+    ids = rng.permutation(np.unique(rng.integers(-2**63, 2**63 - 1, 300, dtype=np.int64)))
+    ids[:2] = [-2**63, 2**63 - 1]
+    id_map = IdMap(ids)
+    rows = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-300, 300, (len(ids), 3))
+    parts = PartitionMap(rng.integers(0, 5, len(ids)), 5)
+    nodes = rng.choice(len(ids), 40, replace=False)
+    writers = {
+        "partition": (lambda dest: write_partition_file(parts, id_map, dest),
+                      lambda src: [read_partition_file(src, id_map).assignment],
+                      [parts.assignment]),
+        "feature table": (lambda dest: write_feature_table(FeatureTable(rows), dest, ids=ids),
+                          lambda src: _feature_arrays(read_feature_table(src)),
+                          [rows, ids]),
+        "node set": (lambda dest: write_node_set(nodes, dest, id_map),
+                     lambda src: [read_node_set(src)], [np.sort(ids[nodes])]),
+    }
+    for name, (write, read, expected) in writers.items():
+        path = tmp_path / f"{name}.tsv"
+        write(path)
+        for src in (path, io.BytesIO(path.read_bytes())):
+            assert [a.tolist() for a in read(src)] == [a.tolist() for a in expected], name
+        assert calls == [], name
 
 
 def test_round_trip_write_then_load():

@@ -404,10 +404,23 @@ def test_one_hierarchy_per_call(monkeypatch):
     monkeypatch.setattr(kway, "induced_subgraph", induced)
     g = _grid(100)
     parts = kway_partition(CoarseGraph.wrap(g), 16, BisectConfig())
-    assert 0 < len(matched) <= BisectConfig().max_coarsen_levels
+    assert 0 < len(matched) <= kway._MAX_LEVELS
     assert contracted and split
     assert max(split) <= contracted[-1] <= 20 * 16
     assert parts.part_sizes().max() <= 1.1 * math.ceil(g.node_count / 16)
+
+
+def test_components_are_found_once_per_bisection(monkeypatch):
+    calls, bisections = [], []
+    real_components, real_bisect = kway._components, kway._bisect
+    monkeypatch.setattr(kway, "_components", lambda g: calls.append(1) or real_components(g))
+    monkeypatch.setattr(kway, "_bisect", lambda *args: bisections.append(1) or real_bisect(*args))
+    # disjoint triangles: matching cannot merge them, so the coarsest graph keeps many components
+    b = 3 * np.arange(200)
+    g = from_edges(600, np.concatenate([b, b + 1, b]), np.concatenate([b + 1, b + 2, b + 2]))
+    kway_partition(CoarseGraph.wrap(g), 8, BisectConfig())
+    assert len(bisections) == 7
+    assert len(calls) == len(bisections)
 
 
 def test_kway_with_k_equal_to_node_count():
