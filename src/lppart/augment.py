@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph,
                           _comment_lines, _csr_from_canonical, _data_lines, _line_of_row,
-                          _read_table, _read_text, _scalar_rows, _write_lines, induced_subgraph)
+                          _read_table, _read_text, _write_table, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,7 @@ def write_feature_table(table: FeatureTable, dest: str | Path | IO,
                         ids: np.ndarray | None = None) -> None:
     """Write ``id<TAB>f1...<TAB>fF`` rows under a ``#dim F`` header."""
     ids = np.arange(len(table)) if ids is None else np.asarray(ids)
-    rows = _scalar_rows(ids, table.rows)
-    _write_lines(dest, chain([f"#dim {table.dimension}\n"],
-                             (f"{i}\t" + "\t".join(map(repr, row)) + "\n" for i, row in rows)))
+    _write_table(dest, (ids,), table.rows, header=f"#dim {table.dimension}\n")
 
 
 def read_feature_table(source: str | Path | IO) -> tuple[FeatureTable, np.ndarray]:

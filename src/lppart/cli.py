@@ -20,7 +20,7 @@ from lppart.augment import (PagerankParams, aggregate_features, concat_global, p
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _read_table, _read_text,
-                          _scalar_rows, _write_lines, load_edge_list, write_edge_list)
+                          _write_table, load_edge_list, write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
@@ -181,8 +181,7 @@ def _cmd_refine(args) -> int:
 def _cmd_pagerank(args) -> int:
     g, id_map = load_edge_list(args.input)
     scores = pagerank(g, PagerankParams(alpha=args.alpha))
-    rows = _scalar_rows(id_map.external_ids, scores)
-    _write_lines(args.out, (f"{e}\t{s!r}\n" for e, s in rows))
+    _write_table(args.out, (id_map.external_ids,), scores)
     return 0
 
 

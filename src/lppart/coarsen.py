@@ -17,8 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import (PartitionMap, WeightedGraph, _merge_edges, _scalar_rows, _write_lines,
-                          write_edge_list)
+from lppart.graph import PartitionMap, WeightedGraph, _merge_edges, _write_table, write_edge_list
 
 MODE_EDGE = "edge"
 MODE_NODE = "node"
@@ -26,17 +25,15 @@ MODE_NODE = "node"
 
 @dataclass
 class CoarseGraph:
-    """A coarse graph plus per-node self-loop mass and its source partition."""
+    """A coarse graph plus per-node self-loop mass."""
 
     graph: WeightedGraph
     self_loop_weight: np.ndarray
-    provenance: PartitionMap
 
     @classmethod
     def wrap(cls, g: WeightedGraph) -> "CoarseGraph":
         """View a plain graph as a coarse graph with no self-loop mass."""
-        ident = PartitionMap(np.arange(g.node_count, dtype=np.int64), max(g.node_count, 1))
-        return cls(g, np.zeros(g.node_count, dtype=np.float64), ident)
+        return cls(g, np.zeros(g.node_count, dtype=np.float64))
 
 
 def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
@@ -61,12 +58,12 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
     # intra-part pairs become self-loops, which the merge drops
     coarse = _merge_edges(m, pu, pv, w, node_values=values)
-    return CoarseGraph(coarse, self_loop, parts)
+    return CoarseGraph(coarse, self_loop)
 
 
 def write_coarse_graph(cg: CoarseGraph, edges_dest: str | Path | IO,
                        values_dest: str | Path | IO) -> None:
     """Write the coarse edge list plus a ``id<TAB>value<TAB>self_loop`` table."""
     write_edge_list(cg.graph, edges_dest)
-    rows = enumerate(_scalar_rows(cg.graph.node_values, cg.self_loop_weight))
-    _write_lines(values_dest, (f"{i}\t{val}\t{sl!r}\n" for i, (val, sl) in rows))
+    values = cg.graph.node_values
+    _write_table(values_dest, (np.arange(len(values)), values), cg.self_loop_weight)

@@ -9,6 +9,7 @@ recording how many original nodes it represents after coarsening.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import logging
 import re
@@ -168,27 +169,30 @@ def _read_text(source: str | Path | IO) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _scalar_rows(*columns: np.ndarray):
-    """Rows of equal-length numpy columns as tuples of Python scalars.
+def _write_table(dest: str | Path | IO, ids: tuple[np.ndarray, ...],
+                 values: np.ndarray | None = None, header: str = "") -> None:
+    """Write ``header``, then one tab-separated line per row: each id column
+    formatted with ``%s``, then each column of the 1-d or 2-d ``values`` with
+    ``%r``.
 
-    A 2-d column gives a list per row. Columns are converted with ``tolist``
-    one block at a time: formatting Python scalars is faster than formatting
-    numpy scalars, and memory stays bounded by the block.
+    ``dest`` is a path (UTF-8, no newline translation) or a text handle.
+    Columns are converted with ``tolist`` one block of rows at a time:
+    formatting Python scalars is faster than formatting numpy scalars, and
+    memory stays bounded by the block.
     """
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
+    n = len(ids[0])
+    if any(len(c) != n for c in ids) or (values is not None and len(values) != n):
         raise ValueError("columns differ in length")
-    for start in range(0, n, _ROW_BLOCK):
-        yield from zip(*(c[start:start + _ROW_BLOCK].tolist() for c in columns))
-
-
-def _write_lines(dest: str | Path | IO, lines) -> None:
-    """Write text lines to a path (UTF-8, no newline translation) or a text handle."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        dest.writelines(lines)
+    columns = list(ids)
+    if values is not None:
+        columns += list(values.T) if values.ndim == 2 else [values]
+    line = "\t".join(["%s"] * len(ids) + ["%r"] * (len(columns) - len(ids))) + "\n"
+    with (open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path))
+          else contextlib.nullcontext(dest)) as fh:
+        fh.write(header)
+        for start in range(0, n, _ROW_BLOCK):
+            rows = zip(*(c[start:start + _ROW_BLOCK].tolist() for c in columns))
+            fh.writelines(line % row for row in rows)
 
 
 def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -464,14 +468,14 @@ def write_edge_list(g: WeightedGraph, dest: str | Path | IO, id_map: IdMap | Non
     """Write canonical undirected edges as ``src<TAB>dst<TAB>weight`` lines."""
     u, v, w = g.edge_array()
     ext = id_map.external_ids if id_map is not None else np.arange(g.node_count, dtype=np.int64)
-    _write_lines(dest, (f"{a}\t{b}\t{ww!r}\n" for a, b, ww in _scalar_rows(ext[u], ext[v], w)))
+    _write_table(dest, (ext[u], ext[v]), w)
 
 
 def write_node_set(nodes, dest: str | Path | IO, id_map: IdMap | None = None) -> None:
     """Write a node set as one external id per line."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     ids = id_map.external_ids[nodes] if id_map is not None else nodes
-    _write_lines(dest, [f"{i}\n" for i in ids])
+    _write_table(dest, (ids,))
 
 
 def read_node_set(source: str | Path | IO) -> np.ndarray:

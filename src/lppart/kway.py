@@ -134,39 +134,38 @@ def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
 
 def _bfs_farthest(g: WeightedGraph, start: int) -> int:
     """Farthest node from ``start`` within its component (ties to smallest index)."""
-    dist = np.full(g.node_count, -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = np.asarray([start], dtype=np.int64)
-    last = frontier
+    off, targets = g.neighbor_offsets, g.neighbor_targets
+    seen = np.zeros(g.node_count, dtype=bool)
+    seen[start] = True
+    frontier = last = np.asarray([start], dtype=np.int64)
     while len(frontier):
-        nxt = []
-        for u in frontier:
-            nbrs = g.neighbors(u)
-            new = nbrs[dist[nbrs] < 0]
-            if len(new):
-                dist[new] = dist[u] + 1
-                nxt.append(new)
-        last = frontier
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, dtype=np.int64)
+        # the arcs of the whole frontier at once, from its CSR ranges
+        counts = off[frontier + 1] - off[frontier]
+        first = np.repeat(off[frontier] - np.cumsum(counts) + counts, counts)
+        nbrs = targets[first + np.arange(len(first))]
+        last, frontier = frontier, np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
     return int(last.min())
 
 
 def _components(g: WeightedGraph) -> tuple[np.ndarray, int]:
-    comp = np.full(g.node_count, -1, dtype=np.int64)
-    count = 0
-    for s in range(g.node_count):
-        if comp[s] >= 0:
-            continue
-        comp[s] = count
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if comp[v] < 0:
-                    comp[v] = count
-                    stack.append(int(v))
-        count += 1
-    return comp, count
+    """Connected component of every node, numbered in order of their smallest node.
+
+    Min-label hooking with pointer jumping: every root takes the smallest
+    root next to its tree, every node then jumps to its root, until no root
+    moves. Each component ends rooted at its smallest node.
+    """
+    src, dst = g.arc_sources(), g.neighbor_targets
+    root = np.arange(g.node_count, dtype=np.int64)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[dst])
+        if np.array_equal(hooked, root):
+            break
+        while not np.array_equal(hooked, root):
+            root, hooked = hooked, hooked[hooked]
+    labels, comp = np.unique(root, return_inverse=True)
+    return comp, len(labels)
 
 
 def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float,
@@ -207,6 +206,7 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
     rng = np.random.default_rng(seed)
     pending = np.flatnonzero(~packed)
     heap: list[tuple[float, int]] = []
+    heaviest = None
     conn = np.zeros(n, dtype=np.float64)
     if len(pending):
         c = pending[np.lexsort((pending, -comp_val[pending]))[0]]
@@ -224,8 +224,9 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
         if u < 0:
             if assigned >= n - floors[1]:
                 break
-            rest = np.flatnonzero(side == 1)
-            u = int(rest[np.lexsort((rest, -vals[rest]))[0]])
+            if heaviest is None:  # side-1 nodes heaviest first, ties to the smaller index
+                heaviest = iter(np.lexsort((np.arange(n), -vals)).tolist())
+            u = next(v for v in heaviest if side[v] == 1)
         side[u] = 0
         load0 += float(vals[u])
         assigned += 1
@@ -484,7 +485,8 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
         if cur.node_count <= stop:
             break
         pairs = heavy_edge_matching(cur, derive_seed(cfg.seed, "match", lvl), max_mass)
-        if 2 * len(pairs) < max(1.0, 0.05 * cur.node_count):
+        # nodes without an edge can never match, so only linked nodes count
+        if 2 * len(pairs) < max(1.0, 0.05 * np.count_nonzero(cur.degrees)):
             break
         coarse, fmap = _contract(cur, pairs)
         graphs.append(coarse)

@@ -24,7 +24,7 @@ import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, _line_of_row,
-                          _read_table, _read_text, _scalar_rows, _write_lines)
+                          _read_table, _read_text, _write_table)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
@@ -149,8 +149,7 @@ def export_coarse(g: WeightedGraph, parts: PartitionMap) -> CoarseGraph:
 
 def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | IO) -> None:
     """Write ``external_node_id<TAB>part_id`` lines in internal node order."""
-    rows = _scalar_rows(id_map.external_ids, parts.assignment)
-    _write_lines(dest, (f"{e}\t{p}\n" for e, p in rows))
+    _write_table(dest, (id_map.external_ids, parts.assignment))
 
 
 def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:

@@ -196,6 +196,15 @@ def test_feature_table_io_round_trip():
     assert np.array_equal(back_ids, ids)
 
 
+def test_zero_dim_feature_rows_hold_only_the_id():
+    buf = io.StringIO()
+    write_feature_table(FeatureTable(np.empty((2, 0))), buf, ids=np.array([1, 2]))
+    assert buf.getvalue() == "#dim 0\n1\n2\n"
+    back, back_ids = read_feature_table(io.BytesIO(buf.getvalue().encode()))
+    assert back.rows.shape == (2, 0)
+    assert back_ids.tolist() == [1, 2]
+
+
 def test_feature_table_validation():
     with pytest.raises(ValueError):
         FeatureTable(np.array([[np.inf]]))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lppart import graph
-from lppart.augment import FeatureTable, read_feature_table, write_feature_table
+from lppart.augment import FeatureTable, pagerank, read_feature_table, write_feature_table
+from lppart.cli import run
+from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, from_edges, induced_subgraph,
                           load_edge_list, read_node_set, validate_graph, write_edge_list,
@@ -243,6 +245,17 @@ def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
     rows = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-300, 300, (len(ids), 3))
     parts = PartitionMap(rng.integers(0, 5, len(ids)), 5)
     nodes = rng.choice(len(ids), 40, replace=False)
+    m = 900
+    g = from_edges(len(ids), rng.integers(0, len(ids), m), rng.integers(0, len(ids), m),
+                   rng.uniform(0.1, 1.0, m) * 10.0 ** rng.integers(-300, 300, m))
+    coarse = coarsen(parts, "node", g)
+    edges = tmp_path / "edges.tsv"
+    write_edge_list(g, edges, id_map)
+    loaded, loaded_ids = load_edge_list(edges)
+
+    def read_table(columns, values):
+        return lambda src: list(graph._read_table(src, graph._read_text(src), columns, values))
+
     writers = {
         "partition": (lambda dest: write_partition_file(parts, id_map, dest),
                       lambda src: [read_partition_file(src, id_map).assignment],
@@ -252,6 +265,13 @@ def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
                           [rows, ids]),
         "node set": (lambda dest: write_node_set(nodes, dest, id_map),
                      lambda src: [read_node_set(src)], [np.sort(ids[nodes])]),
+        "coarse values": (lambda dest: write_coarse_graph(coarse, io.StringIO(), dest),
+                          read_table(("node id", "value"), ("self-loop weight",)),
+                          [np.stack([np.arange(parts.num_parts), coarse.graph.node_values], axis=1),
+                           coarse.self_loop_weight[:, None]]),
+        "pagerank": (lambda dest: run(["pagerank", "--input", str(edges), "--out", str(dest)]),
+                     read_table(("node id",), ("score",)),
+                     [loaded_ids.external_ids[:, None], pagerank(loaded)[:, None]]),
     }
     for name, (write, read, expected) in writers.items():
         path = tmp_path / f"{name}.tsv"

@@ -423,6 +423,51 @@ def test_components_are_found_once_per_bisection(monkeypatch):
     assert len(calls) == len(bisections)
 
 
+def _components_reference(g):
+    """Depth-first search from each unvisited node in index order."""
+    comp = np.full(g.node_count, -1, dtype=np.int64)
+    count = 0
+    for s in range(g.node_count):
+        if comp[s] >= 0:
+            continue
+        comp[s] = count
+        stack = [s]
+        while stack:
+            for v in g.neighbors(stack.pop()).tolist():
+                if comp[v] < 0:
+                    comp[v] = count
+                    stack.append(v)
+        count += 1
+    return comp, count
+
+
+def test_components_match_depth_first_search():
+    rng = np.random.default_rng(11)
+    graphs = []
+    for _ in range(30):
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 2 * n))
+        graphs.append(from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m)))
+    # a long path with shuffled ids takes many hooking rounds
+    perm = rng.permutation(100000)
+    graphs.append(from_edges(100000, perm[:-1], perm[1:]))
+    for g in graphs:
+        comp, count = kway._components(g)
+        expected, expected_count = _components_reference(g)
+        assert count == expected_count
+        assert comp.tolist() == expected.tolist()
+
+
+def test_isolated_nodes_do_not_stop_matching(monkeypatch):
+    split = []  # the graph of every recursive split, the coarsest graph first
+    real_recurse = kway._recurse
+    monkeypatch.setattr(kway, "_recurse", lambda g, *args: split.append(g) or real_recurse(g, *args))
+    core = generate(GeneratorSpec("random_weighted", (2000, 40000, 0.1, 1.0), seed=3))
+    g = from_edges(20000, *core.edge_array())  # plus 18000 isolated nodes
+    kway_partition(CoarseGraph.wrap(g), 4, BisectConfig())
+    assert split[0].edge_count < 0.01 * g.edge_count
+
+
 def test_kway_with_k_equal_to_node_count():
     g = generate(GeneratorSpec("ring", (6,)))
     parts = kway_partition(CoarseGraph.wrap(g), 6, BisectConfig(seed=3))
