@@ -54,8 +54,10 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     u, v, w = g.edge_array()
     pu = assign[u]
     pv = assign[v]
+    del u, v  # edge-sized arrays are freed before the merge, which sets the peak memory
     intra = pu == pv
     self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
+    del intra
     # intra-part pairs become self-loops, which the merge drops
     coarse = _merge_edges(m, pu, pv, w, node_values=values)
     return CoarseGraph(coarse, self_loop)

@@ -127,13 +127,18 @@ class WeightedGraph:
 
     def with_node_values(self, values: np.ndarray) -> "WeightedGraph":
         """Same topology with replaced per-node values."""
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != (self.node_count,):
-            raise ValueError("node value array has wrong length")
-        if len(values) and values.min() < 1:
-            raise ValueError("node values must be >= 1")
-        return WeightedGraph(self.node_count, self.neighbor_offsets,
-                             self.neighbor_targets, self.edge_weights, values)
+        return WeightedGraph(self.node_count, self.neighbor_offsets, self.neighbor_targets,
+                             self.edge_weights, _checked_values(values, self.node_count))
+
+
+def _checked_values(values, node_count: int) -> np.ndarray:
+    """``values`` as an int64 array of one value >= 1 per node; raises ValueError otherwise."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (node_count,):
+        raise ValueError("node value array has wrong length")
+    if len(values) and values.min() < 1:
+        raise ValueError("node values must be >= 1")
+    return values
 
 
 @dataclass
@@ -195,17 +200,42 @@ def _write_table(dest: str | Path | IO, ids: tuple[np.ndarray, ...],
             fh.writelines(line % row for row in rows)
 
 
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative int64 keys.
+
+    Keys already in order (as the (node, label) keys of a first vote are)
+    give the identity at the cost of one comparison pass. Otherwise, where
+    ``(key.max() + 1) * len(key)`` fits in int64, each composite
+    ``key * len(key) + position`` is unique, so numpy's default sort of the
+    composites (SIMD, unstable) gives exactly the stable order, read back as
+    the composites modulo ``len(key)``. Larger keys fall back to
+    ``np.argsort(kind="stable")``, a timsort on int64.
+    """
+    n = len(key)
+    if n < 2 or not (key[1:] < key[:-1]).any():
+        return np.arange(n, dtype=np.int64)
+    if (int(key.max()) + 1) * n < 2**63:
+        order = key * np.int64(n)
+        order += np.arange(n, dtype=np.int64)
+        order.sort()
+        order %= n
+        return order
+    return np.argsort(key, kind="stable")
+
+
 def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                         node_values: np.ndarray | None = None,
                         planted_blocks: np.ndarray | None = None) -> WeightedGraph:
     """Build a graph from unique canonical edges (u < v, no duplicates)."""
     src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    ww = np.concatenate([w, w])
-    order = np.argsort(src * np.int64(node_count) + dst, kind="stable")
-    src, dst, ww = src[order], dst[order], ww[order]
     offsets = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=offsets[1:])
+    dst = np.concatenate([v, u])
+    key = src * np.int64(node_count)
+    key += dst
+    order = _stable_order(key)  # the arc keys are unique: any sort order is this one
+    dst = dst[order]
+    ww = np.concatenate([w, w])[order]
     if node_values is None:
         node_values = np.ones(node_count, dtype=np.int64)
     else:
@@ -218,21 +248,26 @@ def _merge_edges(node_count: int, src: np.ndarray, dst: np.ndarray, w: np.ndarra
                  planted_blocks: np.ndarray | None = None) -> WeightedGraph:
     """Build a graph from index pairs: self-loops are dropped, parallel edges summed.
 
-    Pairs are grouped by a stable sort on ``u * node_count + v``, so the merged
-    weights depend only on the order of the input.
+    Each pair becomes the key ``min * node_count + max``. A stable sort of the
+    keys (``_stable_order``) groups parallel edges, and each group sums its
+    weights in input order, so the merged float weights depend only on the
+    order of the input. The sorted keys decode back to the canonical pairs;
+    the keys and the sort order are freed before the CSR build, which sets
+    the peak memory.
     """
-    u = np.minimum(src, dst)
-    v = np.maximum(src, dst)
-    keep = u != v
-    u, v, w = u[keep], v[keep], w[keep]
-    if len(u):
-        key = u * np.int64(node_count) + v
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+    keep = src != dst
+    key = np.minimum(src, dst)[keep] * np.int64(node_count)
+    key += np.maximum(src, dst)[keep]
+    w = w[keep]
+    if len(key):
+        order = _stable_order(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         w = np.add.reduceat(w[order], starts)
-        u = u[order[starts]]
-        v = v[order[starts]]
+        del order
+        key = key[starts]
+    u, v = np.divmod(key, node_count)
+    del key
     return _csr_from_canonical(node_count, u, v, w, node_values, planted_blocks)
 
 
@@ -260,6 +295,10 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None,
             raise ValueError("node index out of range")
         if not np.all(np.isfinite(weight)) or weight.min() <= 0:
             raise ValueError("edge weights must be finite and positive")
+    if node_values is not None:
+        node_values = _checked_values(node_values, node_count)
+    if planted_blocks is not None and np.shape(planted_blocks) != (node_count,):
+        raise ValueError("planted block array has wrong length")
     return _merge_edges(node_count, src, dst, weight, node_values, planted_blocks)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph
+from lppart.graph import PartitionMap, WeightedGraph, _stable_order
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -101,13 +101,13 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     Isolated nodes keep their label. A node's own label gets no vote of its
     own.
 
-    Arcs are grouped by one stable sort on (node, label), so each score sums
-    its contributions in adjacency order. The groups come out node-major, and
-    one maximum over each node's segment of groups gives its best score. A
-    node whose current label reaches it keeps that label; a node with a
-    single maximizer takes it; only the nodes left with several tied
-    candidates sort those candidates by (node, hash, label) and take the
-    first.
+    Arcs are grouped by one stable sort (``_stable_order``) on a packed
+    (node, label) key, so each score sums its contributions in adjacency
+    order. The groups come out node-major, and one maximum over each node's
+    segment of groups gives its best score. A node whose current label
+    reaches it keeps that label; a node with a single maximizer takes it;
+    only the nodes left with several tied candidates sort those candidates
+    by (node, hash, label) and take the first.
 
     With ``plain=True`` the vote degrades to classic frequency counting:
     weights and node values are ignored and ties always go to the smallest
@@ -131,11 +131,10 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
         contrib = g.edge_weights / g.node_values[dst]
     lab = labels[dst]
 
-    lab_span = int(lab.max()) + 1 if len(lab) else 1
-    if lab_span < 2**62 // max(g.node_count, 1) and lab.min() >= 0:
-        order = np.argsort(src * np.int64(lab_span) + lab, kind="stable")
-    else:
-        order = np.lexsort((lab, src))
+    ranks = lab  # keys pack labels in [0, node_count), or else the labels' ranks
+    if labels.min() < 0 or labels.max() >= g.node_count:
+        ranks = np.unique(labels, return_inverse=True)[1][dst]
+    order = _stable_order(src * (ranks.max() + 1) + ranks)
     s_s, l_s = src[order], lab[order]
     starts = np.flatnonzero(_run_heads(s_s) | _run_heads(l_s))
     scores = np.add.reduceat(contrib[order], starts)

@@ -425,3 +425,37 @@ def test_validator_catches_duplicate_arcs():
                   g.node_values)
     with pytest.raises(ValueError, match="duplicate"):
         validate_graph(dup)
+
+
+def test_from_edges_rejects_bad_node_values_and_blocks():
+    with pytest.raises(ValueError, match="node value array has wrong length"):
+        from_edges(3, [0, 1], [1, 2], node_values=[1, 1])
+    with pytest.raises(ValueError, match="node values must be >= 1"):
+        from_edges(3, [0, 1], [1, 2], node_values=[1, 0, 1])
+    with pytest.raises(ValueError, match="planted block array has wrong length"):
+        from_edges(3, [0, 1], [1, 2], planted_blocks=[0, 1])
+    g = from_edges(3, [0, 1], [1, 2], node_values=[1, 2, 3], planted_blocks=[0, 0, 1])
+    validate_graph(g)
+    assert g.node_values.tolist() == [1, 2, 3]
+
+
+def test_stable_order_matches_stable_argsort():
+    rng = np.random.default_rng(11)
+    for n, span in ((1000, 5), (5000, 1), (3000, 10**6), (200, 2**40)):
+        key = rng.integers(0, span, n)  # heavy ties at small spans
+        assert np.array_equal(graph._stable_order(key), np.argsort(key, kind="stable"))
+    for key in (np.empty(0, dtype=np.int64), np.array([7])):
+        assert np.array_equal(graph._stable_order(key), np.argsort(key, kind="stable"))
+    # (max + 1) * len overflows int64, so the stable argsort itself runs
+    key = np.array([2**62 - 1, 3, 2**62 - 1, 0, 3])
+    assert np.array_equal(graph._stable_order(key), [3, 1, 4, 0, 2])
+
+
+def test_merge_edges_sums_parallel_edges_in_input_order():
+    # float addition is not associative, so the order of the parallel edges
+    # fixes the merged bits; np.add.reduceat adds the first weight to the sum
+    # of the rest. A 1-2 edge sits between the parallel 0-1 edges.
+    for w, want in (([1e16, 1.0, 1.0], 1.0000000000000002e16), ([1.0, 1.0, 1e16], 1e16)):
+        g = from_edges(3, [0, 1, 1, 0], [1, 2, 0, 1], [w[0], 5.0, w[1], w[2]])
+        assert g.edge_weights.tolist() == [want, want, 5.0, 5.0]
+        assert want == np.add.reduceat(np.array(w), [0])[0]

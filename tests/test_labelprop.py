@@ -310,7 +310,7 @@ def test_vote_rejects_mismatched_state():
 
 
 def test_vote_handles_huge_label_values():
-    # labels outside the packed-key range fall back to the general sort path
+    # labels outside [0, node_count) enter the packed (node, label) keys by rank
     g = from_edges(4, [0, 0, 1], [1, 2, 3], [1.0, 2.0, 1.5])
     big = np.array([2**61, 2**61 + 5, 3, 2**61 + 5])
     out = vote_update(g, LabelState(big.copy()))
