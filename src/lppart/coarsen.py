@@ -54,7 +54,7 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     u, v, w = g.edge_array()
     pu = assign[u]
     pv = assign[v]
-    del u, v  # edge-sized arrays are freed before the merge, which sets the peak memory
+    del u, v  # freed before the merge, whose CSR build sets coarsen's peak memory
     intra = pu == pv
     self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
     del intra

@@ -28,6 +28,8 @@ _MAX_NODES = 2**31
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 # rows the text writers convert to Python scalars at a time
 _ROW_BLOCK = 1 << 16
+# arcs an arc pass handles at a time (whole rows, so one hub row can exceed it)
+_ARC_BLOCK = 1 << 18
 
 
 class GraphFormatError(ValueError):
@@ -120,15 +122,50 @@ class WeightedGraph:
         return float(self.edge_weights.sum()) / 2.0
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical undirected edges as (u, v, w) arrays with u < v."""
-        src = self.arc_sources()
-        mask = src < self.neighbor_targets
-        return src[mask], self.neighbor_targets[mask], self.edge_weights[mask]
+        """Canonical undirected edges as (u, v, w) arrays with u < v, in arc order."""
+        keep, counts = _arc_mask(self, lambda src, dst, w: src < dst)
+        u = np.repeat(np.arange(self.node_count, dtype=np.int64), counts)
+        return u, self.neighbor_targets[keep], self.edge_weights[keep]
 
     def with_node_values(self, values: np.ndarray) -> "WeightedGraph":
         """Same topology with replaced per-node values."""
         return WeightedGraph(self.node_count, self.neighbor_offsets, self.neighbor_targets,
                              self.edge_weights, _checked_values(values, self.node_count))
+
+
+def _row_blocks(g: WeightedGraph):
+    """Row ranges ``(a, b)`` of ``g`` in order, with the source of each of their arcs.
+
+    Each range holds whole rows: as many as fit in ``_ARC_BLOCK`` arcs, but
+    at least one arc, so a row with more arcs is a block of its own. The
+    ranges tile the rows from 0 up to the last arc; empty rows after it may
+    be left out. An arc pass over them holds temporaries for one block, not
+    for the whole arc array.
+    """
+    off = g.neighbor_offsets
+    a = 0
+    while off[a] < off[-1]:
+        b = max(int(np.searchsorted(off, off[a] + _ARC_BLOCK, side="right")) - 1,
+                int(np.searchsorted(off, off[a], side="right")))
+        yield a, b, np.repeat(np.arange(a, b, dtype=np.int64), np.diff(off[a:b + 1]))
+        a = b
+
+
+def _arc_mask(g: WeightedGraph, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the arcs for which ``rule(src, dst, w)`` holds, and each row's count of them.
+
+    ``rule`` maps one row block's arc sources, targets and weights to a
+    boolean array.
+    """
+    off = g.neighbor_offsets
+    keep = np.zeros(g.arc_count, dtype=bool)
+    counts = np.zeros(g.node_count, dtype=np.int64)
+    for a, b, src in _row_blocks(g):
+        lo, hi = off[a], off[b]
+        kept = rule(src, g.neighbor_targets[lo:hi], g.edge_weights[lo:hi])
+        keep[lo:hi] = kept
+        counts[a:b] = np.bincount(src[kept] - a, minlength=b - a)
+    return keep, counts
 
 
 def _checked_values(values, node_count: int) -> np.ndarray:
@@ -204,21 +241,25 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
     """Stable argsort of non-negative int64 keys.
 
     Keys already in order (as the (node, label) keys of a first vote are)
-    give the identity at the cost of one comparison pass. Otherwise, where
-    ``(key.max() + 1) * len(key)`` fits in int64, each composite
-    ``key * len(key) + position`` is unique, so numpy's default sort of the
-    composites (SIMD, unstable) gives exactly the stable order, read back as
-    the composites modulo ``len(key)``. Larger keys fall back to
-    ``np.argsort(kind="stable")``, a timsort on int64.
+    give the identity at the cost of one comparison pass. Otherwise, with
+    ``b`` bits enough for every position, where ``key << b`` fits in int64,
+    each composite ``key << b | position`` is unique, so numpy's default
+    sort of the composites (SIMD, unstable) gives exactly the stable order,
+    read back as the low ``b`` bits. The positions are added one block at a
+    time. Larger keys fall back to ``np.argsort(kind="stable")``, a timsort
+    on int64.
     """
     n = len(key)
     if n < 2 or not (key[1:] < key[:-1]).any():
         return np.arange(n, dtype=np.int64)
-    if (int(key.max()) + 1) * n < 2**63:
-        order = key * np.int64(n)
-        order += np.arange(n, dtype=np.int64)
+    bits = (n - 1).bit_length()
+    if int(key.max()) >> (63 - bits) == 0:
+        order = key << bits
+        for start in range(0, n, _ARC_BLOCK):
+            stop = min(start + _ARC_BLOCK, n)
+            order[start:stop] |= np.arange(start, stop, dtype=np.int64)
         order.sort()
-        order %= n
+        order &= (1 << bits) - 1
         return order
     return np.argsort(key, kind="stable")
 
@@ -226,16 +267,28 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
 def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                         node_values: np.ndarray | None = None,
                         planted_blocks: np.ndarray | None = None) -> WeightedGraph:
-    """Build a graph from unique canonical edges (u < v, no duplicates)."""
-    src = np.concatenate([u, v])
+    """Build a graph from unique canonical edges (u < v, no duplicates).
+
+    Both arcs of each edge get the key ``source << b | target`` in one
+    array, the edges' forward arcs first. The keys are unique, so any sort
+    of them gives the CSR order; the sorted keys' low ``b`` bits are the
+    targets, and each arc takes its edge's weight.
+    """
+    m = len(u)
+    bits = max(node_count - 1, 0).bit_length()
+    key = np.empty(2 * m, dtype=np.int64)
+    np.left_shift(u, bits, out=key[:m])
+    key[:m] |= v
+    np.left_shift(v, bits, out=key[m:])
+    key[m:] |= u
     offsets = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=offsets[1:])
-    dst = np.concatenate([v, u])
-    key = src * np.int64(node_count)
-    key += dst
-    order = _stable_order(key)  # the arc keys are unique: any sort order is this one
-    dst = dst[order]
-    ww = np.concatenate([w, w])[order]
+    np.cumsum(np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
+              out=offsets[1:])
+    order = _stable_order(key)
+    dst = key[order]
+    del key
+    dst &= (1 << bits) - 1
+    ww = np.take(w, order, mode="wrap")  # position i + m is edge i's backward arc
     if node_values is None:
         node_values = np.ones(node_count, dtype=np.int64)
     else:
@@ -252,8 +305,8 @@ def _merge_edges(node_count: int, src: np.ndarray, dst: np.ndarray, w: np.ndarra
     keys (``_stable_order``) groups parallel edges, and each group sums its
     weights in input order, so the merged float weights depend only on the
     order of the input. The sorted keys decode back to the canonical pairs;
-    the keys and the sort order are freed before the CSR build, which sets
-    the peak memory.
+    the keys and the sort order are freed before the CSR build, whose key,
+    order and target arrays (8 bytes per arc each) are the merge's peak.
     """
     keep = src != dst
     key = np.minimum(src, dst)[keep] * np.int64(node_count)
@@ -490,7 +543,7 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
                                f"finite and positive, got {float(w[bad[0]])!r}")
     # a copy, so the parsed rows are freed once the ids are numbered
     w = w.copy() if weighted else np.ones(len(w))
-    del text, weights  # freed before the graph build, which sets the peak memory
+    del text, weights  # freed before the id numbering, which sets the load's peak memory
     if not len(pairs):
         raise GraphFormatError("empty input: no edges or nodes found")
     ext_ids, src, dst = _number_ids(pairs)
@@ -535,9 +588,10 @@ def induced_subgraph(g: WeightedGraph, nodes) -> tuple[WeightedGraph, IdMap]:
         raise ValueError("node index out of range")
     mark = np.full(g.node_count, -1, dtype=np.int64)
     mark[nodes] = np.arange(len(nodes), dtype=np.int64)
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    keep = (src < dst) & (mark[src] >= 0) & (mark[dst] >= 0)
-    sub = _csr_from_canonical(len(nodes), mark[src[keep]], mark[dst[keep]],
-                              g.edge_weights[keep], node_values=g.node_values[nodes])
+    keep, counts = _arc_mask(g, lambda src, dst, w: (src < dst) & (mark[src] >= 0)
+                             & (mark[dst] >= 0))
+    # rows outside the subset keep no arc, so their (negative) marks repeat 0 times
+    sub = _csr_from_canonical(len(nodes), np.repeat(mark, counts),
+                              mark[g.neighbor_targets[keep]], g.edge_weights[keep],
+                              node_values=g.node_values[nodes])
     return sub, IdMap(nodes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _stable_order
+from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _row_blocks, _stable_order
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -65,20 +65,31 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     the whole undirected rule from its own two endpoints. The resulting mask
     is symmetric: filtering the (source, target)-sorted arc arrays by it keeps
     both arcs of every surviving edge, in order, with no re-sort.
+
+    Both passes run over row blocks (``_row_blocks``). Each row's weighted
+    degree is a ``bincount`` over its block, which adds the row's weights
+    in the same order as one over all arcs would.
     """
     if g.arc_count == 0:
         return g
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    w = g.edge_weights
-    wdeg = np.bincount(src, weights=w, minlength=g.node_count)
-    keep = ((w / wdeg[src]) >= params.p_ratio) | ((w / wdeg[dst]) >= params.p_ratio)
-    if params.p_bound > 0.0:
-        draws = edge_uniform(params.seed, iteration, np.minimum(src, dst), np.maximum(src, dst))
-        keep |= draws < params.p_bound
+    off = g.neighbor_offsets
+    wdeg = np.zeros(g.node_count)
+    for a, b, src in _row_blocks(g):
+        wdeg[a:b] = np.bincount(src - a, weights=g.edge_weights[off[a]:off[b]], minlength=b - a)
+
+    def rule(src, dst, w):
+        kept = ((w / wdeg[src]) >= params.p_ratio) | ((w / wdeg[dst]) >= params.p_ratio)
+        if params.p_bound > 0.0:
+            draws = edge_uniform(params.seed, iteration, np.minimum(src, dst),
+                                 np.maximum(src, dst))
+            kept |= draws < params.p_bound
+        return kept
+
+    keep, counts = _arc_mask(g, rule)
     offsets = np.zeros(g.node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[keep], minlength=g.node_count), out=offsets[1:])
-    return WeightedGraph(g.node_count, offsets, dst[keep], w[keep], g.node_values)
+    np.cumsum(counts, out=offsets[1:])
+    return WeightedGraph(g.node_count, offsets, g.neighbor_targets[keep], g.edge_weights[keep],
+                         g.node_values)
 
 
 def _run_heads(keys: np.ndarray) -> np.ndarray:
@@ -101,13 +112,16 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     Isolated nodes keep their label. A node's own label gets no vote of its
     own.
 
-    Arcs are grouped by one stable sort (``_stable_order``) on a packed
-    (node, label) key, so each score sums its contributions in adjacency
-    order. The groups come out node-major, and one maximum over each node's
-    segment of groups gives its best score. A node whose current label
-    reaches it keeps that label; a node with a single maximizer takes it;
-    only the nodes left with several tied candidates sort those candidates
-    by (node, hash, label) and take the first.
+    The vote runs over row blocks of about 2^18 arcs (``_row_blocks``):
+    everything a node's vote reads lies in its own row, so each block's
+    temporaries are all the vote holds beyond the graph and the labels. In
+    a block, arcs are grouped by one stable sort (``_stable_order``) on a
+    packed (node, label) key, so each score sums its contributions in
+    adjacency order. The groups come out node-major, and one maximum over
+    each node's segment of groups gives its best score. A node whose
+    current label reaches it keeps that label; a node with a single
+    maximizer takes it; only the nodes left with several tied candidates
+    sort those candidates by (node, hash, label) and take the first.
 
     With ``plain=True`` the vote degrades to classic frequency counting:
     weights and node values are ignored and ties always go to the smallest
@@ -123,42 +137,44 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     if g.arc_count == 0:
         return LabelState(new_labels, state.iteration + 1)
 
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    if plain:
-        contrib = np.ones(g.arc_count, dtype=np.float64)
-    else:
-        contrib = g.edge_weights / g.node_values[dst]
-    lab = labels[dst]
-
-    ranks = lab  # keys pack labels in [0, node_count), or else the labels' ranks
+    ranks = labels  # keys pack labels in [0, node_count), or else the labels' ranks
     if labels.min() < 0 or labels.max() >= g.node_count:
-        ranks = np.unique(labels, return_inverse=True)[1][dst]
-    order = _stable_order(src * (ranks.max() + 1) + ranks)
-    s_s, l_s = src[order], lab[order]
-    starts = np.flatnonzero(_run_heads(s_s) | _run_heads(l_s))
-    scores = np.add.reduceat(contrib[order], starts)
-    g_src = s_s[starts]
-    g_lab = l_s[starts]
+        ranks = np.unique(labels, return_inverse=True)[1]
+    span = ranks.max() + 1
+    off = g.neighbor_offsets
+    for a, b, src in _row_blocks(g):
+        dst = g.neighbor_targets[off[a]:off[b]]
+        if plain:
+            contrib = np.ones(len(dst), dtype=np.float64)
+        else:
+            contrib = g.edge_weights[off[a]:off[b]] / g.node_values[dst]
+        lab = labels[dst]
+        order = _stable_order((src - a) * span + (lab if ranks is labels else ranks[dst]))
+        s_s, l_s = src[order], lab[order]
+        starts = np.flatnonzero(_run_heads(s_s) | _run_heads(l_s))
+        scores = np.add.reduceat(contrib[order], starts)
+        g_src = s_s[starts]
+        g_lab = l_s[starts]
 
-    # one segment per voting node; groups inside a segment ascend by label
-    seg_first = _run_heads(g_src)
-    seg = np.cumsum(seg_first) - 1
-    best = np.maximum.reduceat(scores, np.flatnonzero(seg_first))
-    cand = np.flatnonzero(scores == best[seg])
-    c_seg = seg[cand]
-    lowest = cand[_run_heads(c_seg)]  # smallest maximizing label per segment
-    if plain:
-        winners = lowest
-    else:
-        n_max = np.bincount(c_seg, minlength=len(best))
-        tied = n_max > 1
-        tied[c_seg[g_lab[cand] == labels[g_src[cand]]]] = False  # current label kept
-        single = lowest[n_max[seg[lowest]] == 1]
-        rest = cand[tied[c_seg]]
-        pick = rest[np.lexsort((g_lab[rest], pair_hash64(g_src[rest], g_lab[rest]), seg[rest]))]
-        winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
-    new_labels[g_src[winners]] = g_lab[winners]
+        # one segment per voting node; groups inside a segment ascend by label
+        seg_first = _run_heads(g_src)
+        seg = np.cumsum(seg_first) - 1
+        best = np.maximum.reduceat(scores, np.flatnonzero(seg_first))
+        cand = np.flatnonzero(scores == best[seg])
+        c_seg = seg[cand]
+        lowest = cand[_run_heads(c_seg)]  # smallest maximizing label per segment
+        if plain:
+            winners = lowest
+        else:
+            n_max = np.bincount(c_seg, minlength=len(best))
+            tied = n_max > 1
+            tied[c_seg[g_lab[cand] == labels[g_src[cand]]]] = False  # current label kept
+            single = lowest[n_max[seg[lowest]] == 1]
+            rest = cand[tied[c_seg]]
+            pick = rest[np.lexsort((g_lab[rest], pair_hash64(g_src[rest], g_lab[rest]),
+                                    seg[rest]))]
+            winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
+        new_labels[g_src[winners]] = g_lab[winners]
     return LabelState(new_labels, state.iteration + 1)
 
 

@@ -446,9 +446,26 @@ def test_stable_order_matches_stable_argsort():
         assert np.array_equal(graph._stable_order(key), np.argsort(key, kind="stable"))
     for key in (np.empty(0, dtype=np.int64), np.array([7])):
         assert np.array_equal(graph._stable_order(key), np.argsort(key, kind="stable"))
-    # (max + 1) * len overflows int64, so the stable argsort itself runs
+    # key << 3 overflows int64, so the stable argsort itself runs
     key = np.array([2**62 - 1, 3, 2**62 - 1, 0, 3])
     assert np.array_equal(graph._stable_order(key), [3, 1, 4, 0, 2])
+    # five positions take 3 bits: 2**60 - 1 is the largest key the composites hold
+    for top in (2**60 - 1, 2**60):
+        key = np.array([top, 3, top, 0, 3])
+        assert np.array_equal(graph._stable_order(key), [3, 1, 4, 0, 2])
+
+
+def test_row_blocks_hold_whole_rows_of_about_one_block(monkeypatch):
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 8)
+    # node 1 is a hub of 12 arcs; nodes 0 and 16.. have none
+    g = from_edges(20, [1] * 12 + [2, 3, 4], list(range(2, 14)) + [3, 4, 5])
+    off = g.neighbor_offsets
+    blocks = list(graph._row_blocks(g))
+    assert [(a, b) for a, b, _ in blocks] == [(0, 2), (2, 5), (5, 12), (12, 20)]
+    for a, b, src in blocks:
+        assert np.array_equal(src, g.arc_sources()[off[a]:off[b]])
+        assert 0 < off[b] - off[a] <= 8 or np.count_nonzero(g.degrees[a:b]) == 1
+    assert list(graph._row_blocks(from_edges(5, [], []))) == []
 
 
 def test_merge_edges_sums_parallel_edges_in_input_order():

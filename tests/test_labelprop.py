@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lppart import graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import WeightedGraph, _csr_from_canonical, from_edges
+from lppart.graph import WeightedGraph, _csr_from_canonical, from_edges, induced_subgraph
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
 from lppart.seeding import edge_uniform, pair_hash64
@@ -386,3 +389,61 @@ def test_label_prop_rounds_match_sort_oracle():
             work = edge_retention(work, params, it)
             want_work = _sorted_edge_retention(want_work, params, it)
             _assert_same_graph(work, want_work)
+
+
+def _block_cases():
+    """The oracle sweep plus a hub row, trailing isolated nodes and a graph with no arcs."""
+    for trial, g, rng in _oracle_graphs():
+        yield g, list(_oracle_label_sets(g, rng))
+    rng = np.random.default_rng(77)
+    hub = from_edges(300, np.r_[np.zeros(150, dtype=np.int64), rng.integers(1, 300, 400)],
+                     np.r_[np.arange(150, 300), rng.integers(1, 300, 400)],
+                     rng.uniform(0.1, 1.0, 550))
+    trailing = from_edges(90, rng.integers(0, 30, 120), rng.integers(0, 30, 120))
+    empty = from_edges(12, [], [])
+    for g in (hub, trailing, empty):
+        yield g, [np.arange(g.node_count), rng.integers(0, 4, g.node_count)]
+
+
+def _block_outputs(g, label_sets):
+    """Every array the row-blocked passes produce on ``g``."""
+    out = []
+    for labels in label_sets:
+        for plain in (False, True):
+            out.append(vote_update(g, LabelState(labels.copy()), plain=plain).labels)
+    for ratio, bound in ((0.5, 0.1), (0.3, 0.0), (1.0, 1.0)):
+        pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=bound), 1)
+        out += [pruned.neighbor_offsets, pruned.neighbor_targets, pruned.edge_weights]
+    u, v, w = g.edge_array()
+    out += [u, v, w]
+    rebuilt = from_edges(g.node_count, np.r_[v, u], np.r_[u, v], np.r_[w, w / 3])
+    out += [rebuilt.neighbor_offsets, rebuilt.neighbor_targets, rebuilt.edge_weights]
+    sub, _ = induced_subgraph(g, np.arange(0, g.node_count, 2))
+    out += [sub.neighbor_offsets, sub.neighbor_targets, sub.edge_weights]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_row_blocks_give_the_default_results(monkeypatch, block):
+    cases = list(_block_cases())
+    want = [_block_outputs(g, labels) for g, labels in cases]
+    assert max(int(g.degrees.max(initial=0)) for g, _ in cases) > 64  # the hub row
+    monkeypatch.setattr(graph, "_ARC_BLOCK", block)
+    for (g, labels), expected in zip(cases, want):
+        for a, b in zip(_block_outputs(g, labels), expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_vote_and_prune_memory_stays_within_a_few_blocks():
+    # the whole-array vote peaked 188 MB above the graph here, the prune 94 MB
+    g = generate(GeneratorSpec("random_weighted", (100000, 1000000, 0.1, 1.0), seed=1))
+    state = LabelState.initial(g)
+    tracemalloc.start()
+    try:
+        for step in (lambda: vote_update(g, state), lambda: edge_retention(g, LpParams(), 0)):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step()
+            assert tracemalloc.get_traced_memory()[1] - held < 64 * 2**20
+    finally:
+        tracemalloc.stop()
