@@ -10,7 +10,8 @@ from lppart.generate import GeneratorSpec, generate
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
 from lppart.coarsen import CoarseGraph, coarsen, write_coarse_graph
-from lppart.kway import BisectConfig, InfeasibleError, cut_weight, heavy_edge_matching, kway_partition
+from lppart.kway import (BisectConfig, InfeasibleError, cut_weight, heavy_edge_clustering,
+                         kway_partition)
 from lppart.pipeline import (PartitionConfig, PipelineResult, export_coarse, partition_graph,
                              read_partition_file, sample_subgraphs, write_partition_file)
 from lppart.augment import (FeatureTable, PagerankParams, aggregate_features, concat_global,
@@ -26,7 +27,7 @@ __all__ = [
     "LabelState", "LpParams", "edge_retention", "multilevel_label_prop", "plain_lpa",
     "vote_update",
     "CoarseGraph", "coarsen", "write_coarse_graph",
-    "BisectConfig", "InfeasibleError", "cut_weight", "heavy_edge_matching", "kway_partition",
+    "BisectConfig", "InfeasibleError", "cut_weight", "heavy_edge_clustering", "kway_partition",
     "PartitionConfig", "PipelineResult", "export_coarse", "partition_graph",
     "read_partition_file", "sample_subgraphs", "write_partition_file",
     "FeatureTable", "PagerankParams", "aggregate_features", "concat_global",

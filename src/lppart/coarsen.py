@@ -54,13 +54,15 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     u, v, w = g.edge_array()
     pu = assign[u]
     pv = assign[v]
-    del u, v  # freed before the merge, whose CSR build sets coarsen's peak memory
+    del u, v
     intra = pu == pv
     self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
-    del intra
+    # only ``edges`` holds the three arrays, so the merge frees them before its
+    # CSR build, which sets coarsen's peak memory
+    edges = [pu, pv, w]
+    del intra, pu, pv, w
     # intra-part pairs become self-loops, which the merge drops
-    coarse = _merge_edges(m, pu, pv, w, node_values=values)
-    return CoarseGraph(coarse, self_loop)
+    return CoarseGraph(_merge_edges(m, edges, node_values=values), self_loop)
 
 
 def write_coarse_graph(cg: CoarseGraph, edges_dest: str | Path | IO,

@@ -296,22 +296,28 @@ def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.nda
     return WeightedGraph(node_count, offsets, dst, ww, node_values, planted_blocks)
 
 
-def _merge_edges(node_count: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+def _merge_edges(node_count: int, edges: list[np.ndarray],
                  node_values: np.ndarray | None = None,
                  planted_blocks: np.ndarray | None = None) -> WeightedGraph:
     """Build a graph from index pairs: self-loops are dropped, parallel edges summed.
 
-    Each pair becomes the key ``min * node_count + max``. A stable sort of the
-    keys (``_stable_order``) groups parallel edges, and each group sums its
-    weights in input order, so the merged float weights depend only on the
-    order of the input. The sorted keys decode back to the canonical pairs;
-    the keys and the sort order are freed before the CSR build, whose key,
-    order and target arrays (8 bytes per arc each) are the merge's peak.
+    ``edges`` is a list ``[src, dst, w]``, emptied here once its pairs are
+    keyed, so that a caller holding no other reference to the three arrays
+    frees them before the CSR build. Each pair becomes the key ``min *
+    node_count + max``. A stable sort of the keys (``_stable_order``) groups
+    parallel edges, and each group sums its weights in input order, so the
+    merged float weights depend only on the order of the input. The sorted
+    keys decode back to the canonical pairs; the keys and the sort order are
+    freed before the CSR build, whose key, order and target arrays (8 bytes
+    per arc each) are the merge's peak.
     """
+    src, dst, w = edges
+    edges.clear()
     keep = src != dst
     key = np.minimum(src, dst)[keep] * np.int64(node_count)
     key += np.maximum(src, dst)[keep]
     w = w[keep]
+    del src, dst, keep
     if len(key):
         order = _stable_order(key)
         key = key[order]
@@ -352,7 +358,7 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None,
         node_values = _checked_values(node_values, node_count)
     if planted_blocks is not None and np.shape(planted_blocks) != (node_count,):
         raise ValueError("planted block array has wrong length")
-    return _merge_edges(node_count, src, dst, weight, node_values, planted_blocks)
+    return _merge_edges(node_count, [src, dst, weight], node_values, planted_blocks)
 
 
 def validate_graph(g: WeightedGraph) -> None:

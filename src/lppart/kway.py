@@ -1,23 +1,17 @@
 """Balanced k-way partitioning by one multilevel hierarchy (Karypis & Kumar's
-multilevel k-way scheme).
+multilevel k-way scheme), the finishing stage on coarse graphs.
 
-Used as the finishing stage on coarse graphs. ``kway_partition`` coarsens its
-input once by handshake matching (each free node proposes its best free
-neighbour, rated by edge weight over the product of the two node values, and
-mutual proposals merge) until the graph is small. Only that coarsest graph is
-split, by recursive bisection: greedy component packing or region growing
-from a peripheral node, then the same rebalance and refine steps used on the
-way up. The parts are then projected back level by level, and at each level
-an array-wide step first moves nodes out of parts above their cap, cheapest
-cut damage per unit value first, then applies batches of cut-reducing
-boundary moves filtered as in Jet (Gilbert et al., arXiv:2304.13194).
+``kway_partition`` coarsens its input once by heavy-edge clustering until the
+graph is small, splits only the coarsest graph by recursive bisection, and
+projects the parts back level by level. At each level it moves nodes out of
+parts above their cap, then applies batches of cut-reducing boundary moves
+filtered as in Jet (Gilbert et al., arXiv:2304.13194).
 
 Every cap derives from one root per-part cap ``(1 + epsilon) * ceil(W / k)``,
 ``W`` the total node value: a side that will hold ``k_s`` parts may carry
 ``k_s`` times it, so epsilon does not compound down the recursion. The value
-floor ``ceil(W / k) / (1 + epsilon)`` below which no move takes a part scales
-the same way. Balance is measured on node values; self-loop mass on coarse
-nodes is ignored.
+floor ``ceil(W / k) / (1 + epsilon)`` scales the same way. Balance is
+measured on node values; self-loop mass on coarse nodes is ignored.
 """
 
 from __future__ import annotations
@@ -30,17 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
-from lppart.graph import PartitionMap, WeightedGraph, induced_subgraph
+from lppart.graph import PartitionMap, WeightedGraph, _row_blocks, induced_subgraph
 from lppart.labelprop import _run_heads
 from lppart.seeding import derive_seed, edge_uniform
 
 logger = logging.getLogger(__name__)
 
 _COARSEST_PER_PART = 20
-# grids are matched after 4 rounds, but dense graphs still match about a seventh
-# of their nodes in rounds 5 and 6; fewer matches leave more, larger levels to hold
-_MATCH_ROUNDS = 6
-# bounds on the depth of the matching hierarchy and on refinement rounds per level
+# clusters reach at most this many steps from their head: on meshes, clusters
+# along longer chains of heavy edges cut more
+_CLUSTER_DEPTH = 2
+# bounds on the depth of the clustering hierarchy and on refinement rounds per level
 _MAX_LEVELS = 20
 _REFINE_ROUNDS = 4
 
@@ -66,64 +60,73 @@ def per_part_cap(total: float, k: int, epsilon: float) -> float:
     return (1.0 + epsilon) * math.ceil(int(total) / k)
 
 
-def heavy_edge_matching(g: WeightedGraph, seed: int, max_mass: float = math.inf) -> np.ndarray:
-    """Handshake matching over a fixed number of rounds.
-
-    In each round every unmatched node proposes to the unmatched neighbour
-    with the highest rating ``w(u, v) / (value(u) * value(v))``, skipping
-    neighbours whose combined value would exceed ``max_mass``; ties go to the
-    larger ``edge_uniform(seed, round, min(u, v), max(u, v))``, then to the
-    smaller neighbour index. Mutual proposals are matched. Returns an
-    ``(m, 2)`` array of pairs ``(u, v)`` with ``u < v``, ordered by round
-    then ``u``; unmatched nodes stay singletons.
-    """
+def _pointers(g: WeightedGraph, seed: int, max_mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's best-rated neighbour within ``max_mass`` (itself if none) and that rating."""
     mass = g.node_values.astype(np.float64)
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    keep = mass[src] + mass[dst] <= max_mass
-    src, dst = src[keep], dst[keep]
-    rating = g.edge_weights[keep] / (mass[src] * mass[dst])
-    matched = np.zeros(g.node_count, dtype=bool)
-    found = []
-    for rnd in range(_MATCH_ROUNDS):
-        if rnd:
-            free = ~(matched[src] | matched[dst])
-            src, dst, rating = src[free], dst[free], rating[free]
-        if len(src) == 0:
-            break
+    ptr = np.arange(g.node_count, dtype=np.int64)
+    best_rating = np.zeros(g.node_count)
+    for a, b, src in _row_blocks(g):
+        lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
+        dst = g.neighbor_targets[lo:hi]
+        ms, md = mass[src], mass[dst]
+        rating = g.edge_weights[lo:hi] / (ms * md)
+        rating[ms + md > max_mass] = -np.inf  # a neighbour it cannot join
         # arcs are grouped by source, so each node's best rating is a segment max
         head = _run_heads(src)
         best = np.maximum.reduceat(rating, np.flatnonzero(head))
         top = np.flatnonzero(rating == best[np.cumsum(head) - 1])
-        first = _run_heads(src[top])
-        tied = np.flatnonzero(~(first & np.append(first[1:], True)))
-        if len(tied):
-            a, b = src[top[tied]], dst[top[tied]]
-            h = edge_uniform(seed, rnd, np.minimum(a, b), np.maximum(a, b))
-            head = _run_heads(a)
-            lose = h != np.maximum.reduceat(h, np.flatnonzero(head))[np.cumsum(head) - 1]
-            top = np.delete(top, tied[lose])
-        chosen = top[_run_heads(src[top])]
-        prop = np.full(g.node_count, -1, dtype=np.int64)
-        u = src[chosen]
-        prop[u] = dst[chosen]
-        v = prop[u]
-        mutual = (prop[v] == u) & (u < v)
-        u, v = u[mutual], v[mutual]
-        matched[u] = matched[v] = True
-        found.append(np.stack([u, v], axis=1))
-    if not found:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(found)
+        h = edge_uniform(seed, 0, np.minimum(src[top], dst[top]), np.maximum(src[top], dst[top]))
+        head = _run_heads(src[top])
+        top = top[h == np.maximum.reduceat(h, np.flatnonzero(head))[np.cumsum(head) - 1]]
+        chosen = top[_run_heads(src[top]) & (rating[top] > -np.inf)]  # rows ascend by target
+        ptr[src[chosen]] = dst[chosen]
+        best_rating[src[chosen]] = rating[chosen]
+    return ptr, best_rating
 
 
-def _contract(g: WeightedGraph, pairs: np.ndarray) -> tuple[WeightedGraph, np.ndarray]:
-    """Merge matched pairs into supernodes; returns (coarse graph, fine->coarse map)."""
-    rep = np.arange(g.node_count, dtype=np.int64)
-    rep[pairs[:, 1]] = pairs[:, 0]
-    keep = rep == np.arange(g.node_count)
-    fmap = (np.cumsum(keep) - 1)[rep]
-    return coarsen(PartitionMap(fmap, int(keep.sum())), MODE_NODE, g).graph, fmap
+def _roots(ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root and depth of every node of a forest whose roots point to themselves."""
+    depth = (ptr != np.arange(len(ptr))).astype(np.int64)
+    while not np.array_equal(ptr[ptr], ptr):
+        depth += depth[ptr]
+        ptr = ptr[ptr]
+    return ptr, depth
+
+
+def heavy_edge_clustering(g: WeightedGraph, seed: int, max_mass: float = math.inf) -> PartitionMap:
+    """One level of heavy-edge clustering (Gilbert et al., IPDPS 2021).
+
+    No cluster weighs more than ``max_mass`` unless it is a single node.
+    Every node points to the neighbour it could join within ``max_mass``
+    with the highest rating ``w(u, v) / (value(u) * value(v))``; ties go to
+    the larger ``edge_uniform(seed, 0, min(u, v), max(u, v))``, then to the
+    smaller neighbour. Of two nodes pointing at each other, the smaller is a
+    root, and the nodes at depths 0, 3, 6, ... of each pointer tree head its
+    clusters. A cluster above ``max_mass`` keeps its nodes depth by depth,
+    best rated first, while their mass fits; the rest become singletons.
+    Nodes without an edge are packed in index order up to ``max_mass`` (as
+    in KaMinPar, Gottesbüren et al., ESA 2021). Clusters are numbered in
+    order of their head.
+    """
+    mass = g.node_values
+    ptr, rating = _pointers(g, seed, max_mass)
+    idx = np.arange(g.node_count, dtype=np.int64)
+    ptr = np.where((ptr[ptr] == idx) & (idx < ptr), idx, ptr)
+    ptr = np.where(_roots(ptr)[1] % (_CLUSTER_DEPTH + 1) == 0, idx, ptr)
+    ptr, depth = _roots(ptr)
+    over = np.flatnonzero(np.bincount(ptr, weights=mass, minlength=len(idx))[ptr] > max_mass)
+    over = over[np.lexsort((over, -rating[over], depth[over], ptr[over]))]
+    drop = over[_group_cumsum(ptr[over], mass[over]) > max_mass]
+    ptr[drop] = drop
+    lone = np.flatnonzero(g.degrees == 0)
+    filled = np.cumsum(mass[lone])
+    ends = np.searchsorted(filled, filled - mass[lone] + max_mass, side="right").tolist()
+    start = 0
+    while start < len(lone):  # a cluster ends before the first node that does not fit
+        ptr[lone[start:ends[start]]] = lone[start]
+        start = max(ends[start], start + 1)
+    root = ptr == idx
+    return PartitionMap((np.cumsum(root) - 1)[ptr], int(root.sum()))
 
 
 def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
@@ -162,8 +165,7 @@ def _components(g: WeightedGraph) -> tuple[np.ndarray, int]:
         np.minimum.at(hooked, root[src], root[dst])
         if np.array_equal(hooked, root):
             break
-        while not np.array_equal(hooked, root):
-            root, hooked = hooked, hooked[hooked]
+        root = _roots(hooked)[0]
     labels, comp = np.unique(root, return_inverse=True)
     return comp, len(labels)
 
@@ -230,10 +232,12 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
         side[u] = 0
         load0 += float(vals[u])
         assigned += 1
-        for nb, ww in zip(g.neighbors(u), g.neighbor_weights(u)):
-            if side[nb] == 1:
-                conn[nb] += ww
-                heapq.heappush(heap, (-conn[nb], int(nb)))
+        nb = g.neighbors(u)
+        out = side[nb] == 1
+        nb = nb[out]
+        conn[nb] += g.neighbor_weights(u)[out]  # a row holds each neighbour once
+        for item in zip((-conn[nb]).tolist(), nb.tolist()):
+            heapq.heappush(heap, item)
     return side
 
 
@@ -454,17 +458,17 @@ def _recurse(g: WeightedGraph, index_in_root: np.ndarray, k: int, base: int, cap
 def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     """Partition a coarse graph into exactly ``k`` non-empty, value-balanced parts.
 
-    One handshake-matching hierarchy shrinks the graph to at most ``20 k``
-    nodes (or ``_MAX_LEVELS`` levels); the coarsest graph is
-    split by recursive bisection, and each level on the way up is rebalanced
-    and refined k-way. The per-part cap is ``C = (1 + epsilon) * ceil(W / k)``
-    with ``W`` the total node value. When every node value is 1, every part
-    ends within ``C``. For other values this is best effort: matching never
-    builds a node heavier than ``max(heaviest input node, C / 4)``, and if a
-    part still ends above ``C``, one warning reports the largest load
-    against it. No move takes a part below ``ceil(W / k) / (1 + epsilon)``,
-    so refinement cannot drain a part to buy cut; a part that the coarsest
-    split leaves below that floor is not filled up.
+    One ``heavy_edge_clustering`` hierarchy shrinks the graph to at most
+    ``20 k`` nodes, or until a level removes under 2.5% of the nodes with an
+    edge; the coarsest graph is split by recursive bisection, and each level
+    on the way up is rebalanced and refined k-way. With ``W`` the total node
+    value, the per-part cap is ``C = (1 + epsilon) * ceil(W / k)``. With unit
+    node values every part ends within ``C``; otherwise this is best effort:
+    no cluster is heavier than ``max(heaviest input node, C / 4)``, and if a
+    part still ends above ``C``, one warning reports its load against it. No
+    move takes a part below ``ceil(W / k) / (1 + epsilon)``, so refinement
+    cannot drain a part to buy cut; a part that the coarsest split leaves
+    below that floor is not filled up.
     """
     g = cg.graph
     if k < 1:
@@ -479,18 +483,14 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     graphs = [g]
     maps: list[np.ndarray] = []
     max_mass = max(float(g.node_values.max()), cap / 4)
-    stop = _COARSEST_PER_PART * k
-    for lvl in range(_MAX_LEVELS):
+    while graphs[-1].node_count > _COARSEST_PER_PART * k and len(maps) < _MAX_LEVELS:
         cur = graphs[-1]
-        if cur.node_count <= stop:
+        clusters = heavy_edge_clustering(cur, derive_seed(cfg.seed, "cluster", len(maps)),
+                                         max_mass)
+        if cur.node_count - clusters.num_parts < max(1.0, 0.025 * np.count_nonzero(cur.degrees)):
             break
-        pairs = heavy_edge_matching(cur, derive_seed(cfg.seed, "match", lvl), max_mass)
-        # nodes without an edge can never match, so only linked nodes count
-        if 2 * len(pairs) < max(1.0, 0.05 * np.count_nonzero(cur.degrees)):
-            break
-        coarse, fmap = _contract(cur, pairs)
-        graphs.append(coarse)
-        maps.append(fmap)
+        graphs.append(coarsen(clusters, MODE_NODE, cur).graph)
+        maps.append(clusters.assignment)
 
     coarsest = graphs[-1]
     parts = np.empty(coarsest.node_count, dtype=np.int64)

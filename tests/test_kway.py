@@ -10,7 +10,7 @@ from lppart.coarsen import CoarseGraph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import from_edges
 from lppart.kway import (BisectConfig, InfeasibleError, _rebalance, _refine, cut_weight,
-                         heavy_edge_matching, kway_partition)
+                         heavy_edge_clustering, kway_partition)
 from lppart.seeding import edge_uniform
 
 logger = logging.getLogger(__name__)
@@ -23,67 +23,97 @@ def _grid(side):
     return from_edges(side * side, u, v)
 
 
-def _matching_reference(g, seed, max_mass=math.inf):
-    """Replay the contract: each round, every free node proposes its best free
-    neighbour by (rating, pair hash, -index); mutual proposals match."""
+def _pointers_reference(g, seed, max_mass):
+    """Replay the contract: each node's best neighbour within ``max_mass`` by
+    (rating, pair hash, -index), or itself."""
     vals = g.node_values.astype(np.float64)
-    matched = np.zeros(g.node_count, dtype=bool)
-    pairs = []
-    for rnd in range(kway._MATCH_ROUNDS):
-        prop = {}
-        for u in range(g.node_count):
-            if matched[u]:
-                continue
-            best = None
-            for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u)):
-                if matched[v] or vals[u] + vals[v] > max_mass:
-                    continue
-                h = edge_uniform(seed, rnd, np.array([min(u, v)]), np.array([max(u, v)]))[0]
-                key = (w / (vals[u] * vals[v]), h, -v)
-                if best is None or key > best[0]:
-                    best = (key, v)
-            if best is not None:
-                prop[u] = best[1]
-        new = [(u, v) for u, v in sorted(prop.items()) if u < v and prop.get(v) == u]
-        for u, v in new:
-            matched[u] = matched[v] = True
-        pairs += new
-    return pairs
+    ptr = []
+    for u in range(g.node_count):
+        best = ((-math.inf,), u)
+        for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u)):
+            h = edge_uniform(seed, 0, np.array([min(u, v)]), np.array([max(u, v)]))[0]
+            key = (w / (vals[u] * vals[v]), h, -v)
+            if vals[u] + vals[v] <= max_mass and key > best[0]:
+                best = (key, v)
+        ptr.append(best[1])
+    return ptr
 
 
-def test_matching_on_weighted_path():
-    g = from_edges(3, [0, 1], [1, 2], [5.0, 1.0])
-    for seed in range(20):
-        assert heavy_edge_matching(g, seed).tolist() == [[0, 1]]
-
-
-def test_matching_edge_cases():
-    edgeless = from_edges(4, [], [])
-    assert len(heavy_edge_matching(edgeless, 1)) == 0
-    single = from_edges(2, [0], [1])
-    assert {tuple(sorted(p)) for p in heavy_edge_matching(single, 1)} == {(0, 1)}
-    assert len(heavy_edge_matching(single.with_node_values([2, 2]), 1, max_mass=3)) == 0
-
-
-def test_matching_is_valid_and_matches_reference():
-    rng = np.random.default_rng(77)
-    for trial in range(15):
-        n = int(rng.integers(3, 60))
-        m = int(rng.integers(1, 3 * n))
+def _random_clustering_inputs(rng, trials):
+    for _ in range(trials):
+        n = int(rng.integers(3, 80))
+        m = int(rng.integers(0, 3 * n))
         # integer weights and values make rating ties common, so the hash decides
         g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
                        rng.integers(1, 3, m).astype(np.float64),
-                       node_values=rng.integers(1, 4, n))
-        seed = int(rng.integers(1 << 30))
-        max_mass = float(rng.integers(3, 7))
-        pairs = heavy_edge_matching(g, seed, max_mass)
-        flat = pairs.ravel().tolist()
-        assert len(flat) == len(set(flat))  # no node matched twice
-        for u, v in pairs.tolist():
-            assert v in g.neighbors(u)
-            assert g.node_values[u] + g.node_values[v] <= max_mass
-        assert np.array_equal(pairs, heavy_edge_matching(g, seed, max_mass))
-        assert [tuple(p) for p in pairs.tolist()] == _matching_reference(g, seed, max_mass)
+                       node_values=rng.integers(1, 6, n))
+        yield g, int(rng.integers(1 << 30)), float(rng.integers(2, 12))
+
+
+def test_cluster_pointers_match_a_reference():
+    rng = np.random.default_rng(77)
+    for g, seed, max_mass in _random_clustering_inputs(rng, 20):
+        ptr, _ = kway._pointers(g, seed, max_mass)
+        assert ptr.tolist() == _pointers_reference(g, seed, max_mass)
+
+
+def test_clusters_are_connected_and_only_single_nodes_pass_max_mass():
+    rng = np.random.default_rng(78)
+    for g, seed, max_mass in _random_clustering_inputs(rng, 40):
+        clusters = heavy_edge_clustering(g, seed, max_mass)
+        a = clusters.assignment
+        sizes = clusters.part_sizes()
+        mass = np.bincount(a, weights=g.node_values, minlength=clusters.num_parts)
+        assert np.all(sizes[mass > max_mass] == 1)
+        # intra-cluster edges join every cluster of linked nodes into one component
+        u, v, _ = g.edge_array()
+        inner = a[u] == a[v]
+        comp, _ = kway._components(from_edges(g.node_count, u[inner], v[inner]))
+        linked = np.ones(clusters.num_parts, dtype=bool)
+        linked[a[g.degrees == 0]] = False
+        pairs = {(c, p) for c, p in zip(a.tolist(), comp.tolist()) if linked[c]}
+        assert len(pairs) == np.count_nonzero(linked)
+
+
+def test_clusters_break_two_cycles_at_the_smaller_index():
+    # a path with falling weights: every node points along its heaviest edge,
+    # so the two ends of the heaviest edge point at each other
+    length = kway._CLUSTER_DEPTH + 2
+    w = np.arange(length - 1, 0, -1, dtype=np.float64)
+    nodes = np.arange(length)
+    path = from_edges(length, nodes[:-1], nodes[1:], w)
+    # rooted at node 0, the far end sits one step too deep and heads its own cluster
+    assert heavy_edge_clustering(path, 1).assignment.tolist() == [0] * (length - 1) + [1]
+    # mirrored, the pair's smaller node is one step in, so the tree is one cluster
+    mirror = from_edges(length, length - 1 - nodes[:-1], length - 1 - nodes[1:], w)
+    assert heavy_edge_clustering(mirror, 1).assignment.tolist() == [0] * length
+
+
+def test_clustering_packs_isolated_nodes():
+    rng = np.random.default_rng(5)
+    values = rng.integers(1, 6, 60)
+    g = from_edges(60, [0, 1], [1, 2], node_values=values)  # nodes 3..59 have no edge
+    a = heavy_edge_clustering(g, 1, max_mass=20.0).assignment
+    assert len(set(a[:3].tolist())) == 1 and a[0] not in a[3:]
+    lone = a[3:]
+    assert np.all(np.diff(lone) >= 0)  # packed in index order
+    load = np.bincount(lone, weights=values[3:])[lone[0]:]
+    assert load.max() <= 20
+    # each cluster is full: the first node of the next one would not fit
+    firsts = np.flatnonzero(np.diff(lone)) + 1
+    assert np.all(load[:-1] + values[3:][firsts] > 20)
+    # a node heavier than max_mass is a cluster of its own and ends no loop
+    heavy = from_edges(4, [], [], node_values=[1, 9, 1, 1])
+    assert heavy_edge_clustering(heavy, 1, max_mass=3).assignment.tolist() == [0, 1, 2, 2]
+
+
+def test_clustering_is_deterministic_for_a_seed():
+    g = generate(GeneratorSpec("random_weighted", (400, 3000, 0.1, 1.0), seed=4))
+    g = g.with_node_values(np.random.default_rng(4).integers(1, 4, 400))
+    a = heavy_edge_clustering(g, 9)
+    b = heavy_edge_clustering(g, 9)
+    assert a.num_parts == b.num_parts and np.array_equal(a.assignment, b.assignment)
+    assert a.num_parts < 0.5 * g.node_count
 
 
 def _exhaustive_best_bipartition(g, epsilon):
@@ -381,30 +411,30 @@ def test_infeasible_balance_logs_one_line_per_call(caplog):
 
 
 def test_one_hierarchy_per_call(monkeypatch):
-    # one matching per level of one hierarchy; bisection only on the coarsest graph
-    matched, contracted, split = [], [], []
-    real_match, real_contract, real_split = (kway.heavy_edge_matching, kway._contract,
-                                             kway.induced_subgraph)
+    # one clustering per level of one hierarchy; bisection only on the coarsest graph
+    clustered, contracted, split = [], [], []
+    real_cluster, real_coarsen, real_split = (kway.heavy_edge_clustering, kway.coarsen,
+                                              kway.induced_subgraph)
 
-    def match(g, *args, **kwargs):
-        matched.append(g.node_count)
-        return real_match(g, *args, **kwargs)
+    def cluster(g, *args, **kwargs):
+        clustered.append(g.node_count)
+        return real_cluster(g, *args, **kwargs)
 
-    def contract(g, pairs):
-        coarse, fmap = real_contract(g, pairs)
-        contracted.append(coarse.node_count)
-        return coarse, fmap
+    def contract(parts, mode, g):
+        coarse = real_coarsen(parts, mode, g)
+        contracted.append(coarse.graph.node_count)
+        return coarse
 
     def induced(g, nodes):
         split.append(g.node_count)
         return real_split(g, nodes)
 
-    monkeypatch.setattr(kway, "heavy_edge_matching", match)
-    monkeypatch.setattr(kway, "_contract", contract)
+    monkeypatch.setattr(kway, "heavy_edge_clustering", cluster)
+    monkeypatch.setattr(kway, "coarsen", contract)
     monkeypatch.setattr(kway, "induced_subgraph", induced)
     g = _grid(100)
     parts = kway_partition(CoarseGraph.wrap(g), 16, BisectConfig())
-    assert 0 < len(matched) <= kway._MAX_LEVELS
+    assert 0 < len(clustered) <= kway._MAX_LEVELS
     assert contracted and split
     assert max(split) <= contracted[-1] <= 20 * 16
     assert parts.part_sizes().max() <= 1.1 * math.ceil(g.node_count / 16)
@@ -413,14 +443,17 @@ def test_one_hierarchy_per_call(monkeypatch):
 def test_components_are_found_once_per_bisection(monkeypatch):
     calls, bisections = [], []
     real_components, real_bisect = kway._components, kway._bisect
-    monkeypatch.setattr(kway, "_components", lambda g: calls.append(1) or real_components(g))
+    monkeypatch.setattr(kway, "_components",
+                        lambda g: calls.append(real_components(g)) or calls[-1])
     monkeypatch.setattr(kway, "_bisect", lambda *args: bisections.append(1) or real_bisect(*args))
-    # disjoint triangles: matching cannot merge them, so the coarsest graph keeps many components
+    # disjoint triangles: each clusters into a node without an edge, and packing
+    # those up to the cluster mass limit still leaves many components
     b = 3 * np.arange(200)
     g = from_edges(600, np.concatenate([b, b + 1, b]), np.concatenate([b + 1, b + 2, b + 2]))
     kway_partition(CoarseGraph.wrap(g), 8, BisectConfig())
     assert len(bisections) == 7
     assert len(calls) == len(bisections)
+    assert calls[0][1] >= 4 * 8  # the coarsest graph's components
 
 
 def _components_reference(g):
@@ -459,13 +492,20 @@ def test_components_match_depth_first_search():
 
 
 def test_isolated_nodes_do_not_stop_matching(monkeypatch):
+    # nodes without an edge are packed into clusters, so they neither end the
+    # hierarchy early nor crowd the coarsest graph
     split = []  # the graph of every recursive split, the coarsest graph first
     real_recurse = kway._recurse
     monkeypatch.setattr(kway, "_recurse", lambda g, *args: split.append(g) or real_recurse(g, *args))
     core = generate(GeneratorSpec("random_weighted", (2000, 40000, 0.1, 1.0), seed=3))
     g = from_edges(20000, *core.edge_array())  # plus 18000 isolated nodes
     kway_partition(CoarseGraph.wrap(g), 4, BisectConfig())
-    assert split[0].edge_count < 0.01 * g.edge_count
+    coarsest = split[0]
+    assert coarsest.node_count <= 20 * 4
+    lone = coarsest.degrees == 0
+    assert coarsest.node_values[lone].sum() == 18000
+    max_mass = kway.per_part_cap(g.node_count, 4, 0.1) / 4  # the heaviest cluster kway builds
+    assert np.count_nonzero(lone) <= math.ceil(18000 / max_mass) + 1
 
 
 def test_kway_with_k_equal_to_node_count():
