@@ -460,15 +460,15 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
 
     One ``heavy_edge_clustering`` hierarchy shrinks the graph to at most
     ``20 k`` nodes, or until a level removes under 2.5% of the nodes with an
-    edge; the coarsest graph is split by recursive bisection, and each level
-    on the way up is rebalanced and refined k-way. With ``W`` the total node
-    value, the per-part cap is ``C = (1 + epsilon) * ceil(W / k)``. With unit
-    node values every part ends within ``C``; otherwise this is best effort:
-    no cluster is heavier than ``max(heaviest input node, C / 4)``, and if a
-    part still ends above ``C``, one warning reports its load against it. No
-    move takes a part below ``ceil(W / k) / (1 + epsilon)``, so refinement
-    cannot drain a part to buy cut; a part that the coarsest split leaves
-    below that floor is not filled up.
+    edge or would leave fewer than ``k`` nodes; the coarsest graph is split
+    by recursive bisection, and each level on the way up is rebalanced and
+    refined k-way. With ``W`` the total node value, the per-part cap is
+    ``C = (1 + epsilon) * ceil(W / k)``. With unit node values every part
+    ends within ``C``; otherwise this is best effort: no cluster outweighs
+    ``max(heaviest input node, C / 4)``, and if a part still ends above
+    ``C``, one warning reports its load against it. No move takes a part
+    below ``ceil(W / k) / (1 + epsilon)``, so refinement cannot drain a part
+    to buy cut; a part the coarsest split leaves below that floor stays so.
     """
     g = cg.graph
     if k < 1:
@@ -487,8 +487,9 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
         cur = graphs[-1]
         clusters = heavy_edge_clustering(cur, derive_seed(cfg.seed, "cluster", len(maps)),
                                          max_mass)
-        if cur.node_count - clusters.num_parts < max(1.0, 0.025 * np.count_nonzero(cur.degrees)):
-            break
+        removed = cur.node_count - clusters.num_parts
+        if clusters.num_parts < k or removed < max(1.0, 0.025 * np.count_nonzero(cur.degrees)):
+            break  # a level of fewer than k nodes would leave parts empty
         graphs.append(coarsen(clusters, MODE_NODE, cur).graph)
         maps.append(clusters.assignment)
 
@@ -496,8 +497,7 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     parts = np.empty(coarsest.node_count, dtype=np.int64)
     _recurse(coarsest, np.arange(coarsest.node_count, dtype=np.int64), k, 0, cap, low, cfg.seed,
              parts)
-    caps = np.full(k, cap)
-    lows = np.full(k, low)
+    caps, lows = np.full(k, cap), np.full(k, low)
     floors = np.ones(k, dtype=np.int64)
     while True:
         cur = graphs.pop()  # a level is released once its parts are projected up

@@ -508,6 +508,19 @@ def test_isolated_nodes_do_not_stop_matching(monkeypatch):
     assert np.count_nonzero(lone) <= math.ceil(18000 / max_mass) + 1
 
 
+@pytest.mark.parametrize("values, epsilon", [
+    ([1] * 10001, 4.0),  # max_mass = C / 4 is above W / k: 13 packed clusters
+    ([687] + [1] * 9313, 0.1),  # max_mass is the 687-mass node, just under C: 15 clusters
+])
+def test_mostly_isolated_input_fills_every_part(values, epsilon):
+    # packing nodes without an edge up to max_mass can leave fewer clusters than
+    # parts; the hierarchy must not use such a level, or some parts stay empty
+    g = from_edges(len(values), [], [], node_values=values)
+    parts = kway_partition(CoarseGraph.wrap(g), 16, BisectConfig(epsilon=epsilon))
+    assert parts.num_parts == 16
+    assert (parts.part_sizes() > 0).all()
+
+
 def test_kway_with_k_equal_to_node_count():
     g = generate(GeneratorSpec("ring", (6,)))
     parts = kway_partition(CoarseGraph.wrap(g), 6, BisectConfig(seed=3))
