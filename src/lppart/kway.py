@@ -5,7 +5,12 @@ multilevel k-way scheme), the finishing stage on coarse graphs.
 graph is small, splits only the coarsest graph by recursive bisection, and
 projects the parts back level by level. At each level it moves nodes out of
 parts above their cap, then applies batches of cut-reducing boundary moves
-filtered as in Jet (Gilbert et al., arXiv:2304.13194).
+filtered as in Jet (Gilbert et al., arXiv:2304.13194). On a level where a
+node-by-part table is no larger than the arcs, as on the dense graphs label
+propagation leaves, refinement reads boundary and moves from per-node,
+per-part connection tables kept up to date from the moved nodes' arcs (as in
+Jet and KaMinPar); on sparser levels it sums the boundary nodes' arcs each
+round.
 
 Every cap derives from one root per-part cap ``(1 + epsilon) * ceil(W / k)``,
 ``W`` the total node value: a side that will hold ``k_s`` parts may carry
@@ -135,17 +140,22 @@ def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
     return float(w[side[u] != side[v]].sum())
 
 
+def _node_arcs(off: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Indices of the arcs of ``nodes``, grouped by node in the given order,
+    from their CSR ranges."""
+    counts = off[nodes + 1] - off[nodes]
+    arcs = np.repeat(off[nodes] - np.cumsum(counts) + counts, counts)
+    arcs += np.arange(len(arcs))
+    return arcs
+
+
 def _bfs_farthest(g: WeightedGraph, start: int) -> int:
     """Farthest node from ``start`` within its component (ties to smallest index)."""
-    off, targets = g.neighbor_offsets, g.neighbor_targets
     seen = np.zeros(g.node_count, dtype=bool)
     seen[start] = True
     frontier = last = np.asarray([start], dtype=np.int64)
     while len(frontier):
-        # the arcs of the whole frontier at once, from its CSR ranges
-        counts = off[frontier + 1] - off[frontier]
-        first = np.repeat(off[frontier] - np.cumsum(counts) + counts, counts)
-        nbrs = targets[first + np.arange(len(first))]
+        nbrs = g.neighbor_targets[_node_arcs(g.neighbor_offsets, frontier)]
         last, frontier = frontier, np.unique(nbrs[~seen[nbrs]])
         seen[frontier] = True
     return int(last.min())
@@ -269,7 +279,7 @@ def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.
     nparts = len(room)
     row = np.full(g.node_count, -1, dtype=np.int64)
     row[nodes] = np.arange(len(nodes))
-    sel = np.flatnonzero(row[src] >= 0)
+    sel = _node_arcs(g.neighbor_offsets, nodes)
     p = parts[g.neighbor_targets[sel]]
     key = p * len(nodes) + row[src[sel]]
     w = g.edge_weights[sel]
@@ -297,13 +307,67 @@ def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.
     win = cand[conn[cand] == top[kr[cand]]]
     lowest = np.full(len(nodes), nparts)
     np.minimum.at(lowest, kr[win], kp[win])
+    return _choose(lowest, top, internal, own, vals, room)
+
+
+def _choose(lowest: np.ndarray, top: np.ndarray, internal: np.ndarray, own: np.ndarray,
+            vals: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_moves``' result from each node's most-connected part with room
+    (``lowest``, its connection ``top``, ``-inf`` if none) and its weight to
+    its own part."""
     # no connected part has room: fall back to the other part with most room
-    by_room = np.lexsort((np.arange(nparts), -room))
+    by_room = np.lexsort((np.arange(len(room)), -room))
     roomiest = np.where(own == by_room[0], by_room[1], by_room[0])
     connected = top > -np.inf
     far = ~connected & (room[roomiest] >= vals)
     dest = np.where(connected, lowest, roomiest)
     return dest, np.where(connected, top, np.where(far, 0.0, -np.inf)) - internal
+
+
+def _part_table(g: WeightedGraph, parts: np.ndarray,
+                nparts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node-by-part tables of each node's connection weight to every part and
+    its count of neighbours there, built a row block at a time."""
+    dst, w = g.neighbor_targets, g.edge_weights
+    conn = np.zeros((g.node_count, nparts))
+    cnt = np.zeros((g.node_count, nparts), dtype=np.int64)
+    for a, b, src in _row_blocks(g):
+        lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
+        key = (src - a) * nparts + parts[dst[lo:hi]]
+        size = (b - a) * nparts
+        conn[a:b] = np.bincount(key, weights=w[lo:hi], minlength=size).reshape(b - a, nparts)
+        cnt[a:b] = np.bincount(key, minlength=size).reshape(b - a, nparts)
+    return conn, cnt
+
+
+def _table_moves(conn: np.ndarray, parts: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
+                 room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_moves`` read from the rows of ``nodes`` in a connection table."""
+    block = conn[nodes]
+    rows = np.arange(len(nodes))
+    own = parts[nodes]
+    vals = vals[nodes]
+    internal = block[rows, own]
+    fits = room >= vals[:, None]
+    fits[rows, own] = False
+    block[~fits | (block <= 0)] = -np.inf
+    lowest = block.argmax(axis=1)  # the first of equal maxima: ties go to the lower part
+    return _choose(lowest, block[rows, lowest], internal, own, vals, room)
+
+
+def _move_in_table(conn: np.ndarray, cnt: np.ndarray, nbrs: np.ndarray, w: np.ndarray,
+                   old: np.ndarray, new: np.ndarray) -> None:
+    """Update the tables for arcs into ``nbrs`` of weights ``w`` whose other
+    ends moved from parts ``old`` to ``new``."""
+    nparts = conn.shape[1]
+    conn, cnt = conn.reshape(-1), cnt.reshape(-1)
+    was, now = nbrs * nparts + old, nbrs * nparts + new
+    np.subtract.at(conn, was, w)
+    np.add.at(conn, now, w)
+    np.subtract.at(cnt, was, 1)
+    np.add.at(cnt, now, 1)
+    was = was[cnt[was] == 0]
+    conn[was] = 0.0  # no float residue may leave a node connected to a part it left
 
 
 def _loads(g: WeightedGraph, parts: np.ndarray, nparts: int) -> np.ndarray:
@@ -359,6 +423,16 @@ def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.nd
         parts[nodes[keep]] = dest[keep]
 
 
+def _cut_change(g: WeightedGraph, src: np.ndarray, arcs: np.ndarray, parts: np.ndarray,
+                target: np.ndarray) -> float:
+    """Change in the arc cut (twice the edge cut) when ``parts`` becomes
+    ``target``, read from ``arcs``: every arc of the nodes whose part changes."""
+    a, b = src[arcs], g.neighbor_targets[arcs]
+    change = (target[a] != target[b]).astype(np.float64) - (parts[a] != parts[b])
+    # an edge between two moved nodes appears here as both of its arcs, any other as one
+    return float((g.edge_weights[arcs] * change * np.where(target[b] != parts[b], 1.0, 2.0)).sum())
+
+
 def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
             lows: np.ndarray, floors: np.ndarray, rounds: int) -> None:
     """Batches of cut-reducing boundary moves that keep every part between its
@@ -372,18 +446,30 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
     higher-ranked admitted move is assumed made (Jet's filter). A round
     whose moves would not lower the cut is discarded; refinement stops then,
     or after a round moving fewer than 0.1% of the nodes.
+
+    Where a node-by-part table is no larger than the arcs (``n * k <=
+    arcs``), the boundary and the best moves are read from ``_part_table``'s
+    two tables, built once and updated from the moved nodes' arcs (as in
+    Jet and KaMinPar). Elsewhere each round finds the boundary by one pass
+    over the arcs and sums the boundary nodes' arcs in ``_best_moves``.
+    Either way the filter and the cut change read only the arcs of the
+    admitted nodes.
     """
     n = g.node_count
     nparts = len(caps)
     dst, w = g.neighbor_targets, g.edge_weights
-    cross = parts[src] != parts[dst]
-    cut = w[cross].sum()
+    table = _part_table(g, parts, nparts) if n * nparts <= len(dst) else None
     for _ in range(rounds):
         loads = _loads(g, parts, nparts)
-        boundary = np.zeros(n, dtype=bool)
-        boundary[src[cross]] = True
-        nodes = np.flatnonzero(boundary)
-        dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+        if table is None:
+            boundary = np.zeros(n, dtype=bool)
+            boundary[src[parts[src] != parts[dst]]] = True
+            nodes = np.flatnonzero(boundary)
+            dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+        else:
+            conn, cnt = table
+            nodes = np.flatnonzero(cnt[np.arange(n), parts] < g.degrees)
+            dest, saving = _table_moves(conn, parts, nodes, g.node_values, caps - loads)
         cand = saving > 0
         order = np.lexsort((nodes[cand], -saving[cand]))
         nodes, dest = nodes[cand][order], dest[cand][order]
@@ -395,22 +481,22 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
         rank[nodes] = np.arange(len(nodes))
         target = parts.copy()
         target[nodes] = dest
-        arcs = np.flatnonzero(rank[src] < n)
+        arcs = _node_arcs(g.neighbor_offsets, nodes)
         a, b = src[arcs], dst[arcs]
         pb = np.where(rank[b] < rank[a], target[b], parts[b])
         gain = w[arcs] * ((pb == target[a]).astype(np.float64) - (pb == parts[a]))
         keep = np.bincount(rank[a], weights=gain, minlength=len(nodes)) > 0
+        target[nodes[~keep]] = parts[nodes[~keep]]
         nodes, dest = nodes[keep], dest[keep]
         if not len(nodes):
             return
-        trial = parts.copy()
-        trial[nodes] = dest
-        trial_cross = trial[src] != trial[dst]
-        trial_cut = w[trial_cross].sum()
-        if trial_cut >= cut:
+        arcs = arcs[keep[rank[a]]]
+        if _cut_change(g, src, arcs, parts, target) >= 0:
             return
-        parts[:] = trial
-        cross, cut = trial_cross, trial_cut
+        if table is not None:
+            a = src[arcs]
+            _move_in_table(conn, cnt, dst[arcs], w[arcs], parts[a], target[a])
+        parts[nodes] = dest
         if len(nodes) < 0.001 * n:
             return
 
@@ -469,6 +555,9 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     ``C``, one warning reports its load against it. No move takes a part
     below ``ceil(W / k) / (1 + epsilon)``, so refinement cannot drain a part
     to buy cut; a part the coarsest split leaves below that floor stays so.
+    Refinement on a level of ``n`` nodes and ``m`` arcs holds ``16 n k``
+    bytes of connection tables if ``n k <= m``, and none otherwise, so its
+    memory stays linear in the arcs for any ``k``.
     """
     g = cg.graph
     if k < 1:

@@ -280,6 +280,75 @@ def test_best_moves_memory_is_linear_in_arcs():
     assert peak < 128 * len(src) < 8 * n * k
 
 
+@pytest.mark.parametrize("integer", [True, False])
+def test_part_table_tracks_refinement_and_matches_the_reference(monkeypatch, integer):
+    tables, calls = [], []
+    part_table, table_moves = kway._part_table, kway._table_moves
+
+    def fresh(g, parts, k):
+        key = g.arc_sources() * k + parts[g.neighbor_targets]
+        return (np.bincount(key, weights=g.edge_weights, minlength=g.node_count * k),
+                np.bincount(key, minlength=g.node_count * k))
+
+    def check(g, parts):
+        conn, cnt = tables[-1]
+        ref_conn, ref_cnt = fresh(g, parts, conn.shape[1])
+        assert np.array_equal(cnt.ravel(), ref_cnt)
+        assert np.allclose(conn.ravel(), ref_conn, rtol=0, atol=1e-9)
+
+    def moves(conn, parts, nodes, vals, room):
+        check(g, parts)  # the tables as the previous round left them
+        dest, saving = table_moves(conn, parts, nodes, vals, room)
+        ref_dest, ref_saving = _best_moves_reference(g, parts, nodes, room)
+        movable = ref_saving > -np.inf
+        assert np.array_equal(saving > -np.inf, movable)
+        assert np.allclose(saving[movable], ref_saving[movable], rtol=0,
+                           atol=0 if integer else 1e-9)
+        assert np.array_equal(dest[movable], ref_dest[movable])
+        calls.append(len(nodes))
+        return dest, saving
+
+    monkeypatch.setattr(kway, "_part_table", lambda *a: tables.append(part_table(*a)) or tables[-1])
+    monkeypatch.setattr(kway, "_table_moves", moves)
+    rng = np.random.default_rng(29)
+    moved = 0
+    for trial in range(30):
+        built = len(tables)
+        n = int(rng.integers(6, 40))
+        m = int(rng.integers(3 * n, 10 * n))
+        # integer weights and values make ties in connection and room common;
+        # float weights leave rounding residue where a node's last neighbour
+        # in a part moves out
+        w = rng.integers(1, 4, m).astype(np.float64) if integer else rng.uniform(0.1, 3.0, m)
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), w, rng.integers(1, 4, n))
+        k = int(rng.integers(2, 6))
+        parts = rng.integers(0, k, n)
+        start = parts.copy()
+        caps = np.full(k, 1.3 * g.node_values.sum() / k)
+        _refine(g, g.arc_sources(), parts, caps, np.zeros(k), np.ones(k, dtype=np.int64), 8)
+        if len(tables) > built:
+            check(g, parts)  # and as the last round left them
+            moved += np.count_nonzero(parts != start)
+    assert len(tables) >= 25 and len(calls) > len(tables) and moved > 0
+
+
+def test_refine_memory_is_linear_in_arcs():
+    # 20k nodes and 200 parts: node-by-part tables would take 64 MB, so the
+    # arcs are summed per round instead
+    rng = np.random.default_rng(3)
+    n, m, k = 20000, 100000, 200
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
+    parts = rng.integers(0, k, n)
+    src = g.arc_sources()
+    tracemalloc.start()
+    try:
+        _refine(g, src, parts, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * len(src) < 8 * n * k
+
+
 def test_many_parts_on_a_mid_size_graph():
     rng = np.random.default_rng(4)
     n, m, k = 20000, 100000, 200
@@ -352,6 +421,22 @@ def test_refinement_pass_never_increases_cut():
                 after = cut_weight(g, parts)
                 assert after <= before + 1e-12
                 assert np.bincount(parts, minlength=k).min() >= 1
+
+
+def test_cut_change_counts_each_edge_once():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        n = int(rng.integers(4, 40))
+        m = int(rng.integers(n, 6 * n))
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 3.0, m))
+        parts = rng.integers(0, 4, n)
+        # a dense set of movers, so many edges join two of them
+        movers = np.flatnonzero(rng.random(n) < 0.6)
+        target = parts.copy()
+        target[movers] = (parts[movers] + rng.integers(1, 4, len(movers))) % 4
+        arcs = kway._node_arcs(g.neighbor_offsets, rng.permutation(movers))
+        change = kway._cut_change(g, g.arc_sources(), arcs, parts, target)
+        assert change == pytest.approx(2 * (cut_weight(g, target) - cut_weight(g, parts)))
 
 
 def test_refinement_keeps_parts_above_their_value_floor():
