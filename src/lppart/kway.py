@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
-from lppart.graph import PartitionMap, WeightedGraph, _row_blocks, induced_subgraph
+from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _row_blocks, induced_subgraph
 from lppart.labelprop import _run_heads
 from lppart.seeding import derive_seed, edge_uniform
 
@@ -140,13 +140,12 @@ def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
     return float(w[side[u] != side[v]].sum())
 
 
-def _node_arcs(off: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _node_arcs(off: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the arcs of ``nodes``, grouped by node in the given order,
-    from their CSR ranges."""
+    from their CSR ranges, and the position in ``nodes`` of each arc's source."""
     counts = off[nodes + 1] - off[nodes]
-    arcs = np.repeat(off[nodes] - np.cumsum(counts) + counts, counts)
-    arcs += np.arange(len(arcs))
-    return arcs
+    pos = np.repeat(np.arange(len(nodes)), counts)
+    return (off[nodes] - np.cumsum(counts) + counts)[pos] + np.arange(len(pos)), pos
 
 
 def _bfs_farthest(g: WeightedGraph, start: int) -> int:
@@ -155,7 +154,7 @@ def _bfs_farthest(g: WeightedGraph, start: int) -> int:
     seen[start] = True
     frontier = last = np.asarray([start], dtype=np.int64)
     while len(frontier):
-        nbrs = g.neighbor_targets[_node_arcs(g.neighbor_offsets, frontier)]
+        nbrs = g.neighbor_targets[_node_arcs(g.neighbor_offsets, frontier)[0]]
         last, frontier = frontier, np.unique(nbrs[~seen[nbrs]])
         seen[frontier] = True
     return int(last.min())
@@ -262,8 +261,8 @@ def _group_cumsum(keys: np.ndarray, amounts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.ndarray,
-                room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _best_moves(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray,
+               room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best destination for each of ``nodes`` (ascending) and the cut weight
     moving there saves.
 
@@ -277,18 +276,16 @@ def _best_moves(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, nodes: np.
     the arcs, whatever the number of parts.
     """
     nparts = len(room)
-    row = np.full(g.node_count, -1, dtype=np.int64)
-    row[nodes] = np.arange(len(nodes))
-    sel = _node_arcs(g.neighbor_offsets, nodes)
+    sel, pos = _node_arcs(g.neighbor_offsets, nodes)
     p = parts[g.neighbor_targets[sel]]
-    key = p * len(nodes) + row[src[sel]]
+    key = p * len(nodes) + pos
     w = g.edge_weights[sel]
     if len(nodes) * nparts <= len(sel):  # a part-by-node table is no larger than the arcs
         table = np.bincount(key, weights=w, minlength=nparts * len(nodes))
         key = np.flatnonzero(table)
         conn = table[key]
     else:
-        # arcs come grouped by source and rows ascend with it, so a stable sort
+        # arcs come grouped by source and positions ascend with it, so a stable sort
         # by part sorts the keys
         order = np.argsort(p.astype(np.min_scalar_type(nparts - 1)), kind="stable")
         key, w = key[order], w[order]
@@ -388,8 +385,8 @@ def _admit(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray, dest: np.ndar
             & (_group_cumsum(own, vals * fits) <= loads[own] - lows[own]))
 
 
-def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
-               lows: np.ndarray, floors: np.ndarray) -> None:
+def _rebalance(g: WeightedGraph, parts: np.ndarray, caps: np.ndarray, lows: np.ndarray,
+               floors: np.ndarray) -> None:
     """Move nodes out of parts above their cap until none is, or no move fits.
 
     Each round, every node of an over-cap part is rated by the cut weight its
@@ -409,7 +406,7 @@ def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.nd
         nodes = np.flatnonzero(excess[parts] > 0)
         if not len(nodes):
             return
-        dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+        dest, saving = _best_moves(g, parts, nodes, caps - loads)
         ok = saving > -np.inf
         nodes, dest, cost = nodes[ok], dest[ok], -saving[ok] / vals[nodes[ok]]
         order = np.lexsort((nodes, cost))
@@ -423,18 +420,19 @@ def _rebalance(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.nd
         parts[nodes[keep]] = dest[keep]
 
 
-def _cut_change(g: WeightedGraph, src: np.ndarray, arcs: np.ndarray, parts: np.ndarray,
+def _cut_change(g: WeightedGraph, nodes: np.ndarray, parts: np.ndarray,
                 target: np.ndarray) -> float:
     """Change in the arc cut (twice the edge cut) when ``parts`` becomes
-    ``target``, read from ``arcs``: every arc of the nodes whose part changes."""
-    a, b = src[arcs], g.neighbor_targets[arcs]
+    ``target``, read from the arcs of ``nodes``: every node whose part changes."""
+    arcs, pos = _node_arcs(g.neighbor_offsets, nodes)
+    a, b = nodes[pos], g.neighbor_targets[arcs]
     change = (target[a] != target[b]).astype(np.float64) - (parts[a] != parts[b])
     # an edge between two moved nodes appears here as both of its arcs, any other as one
     return float((g.edge_weights[arcs] * change * np.where(target[b] != parts[b], 1.0, 2.0)).sum())
 
 
-def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarray,
-            lows: np.ndarray, floors: np.ndarray, rounds: int) -> None:
+def _refine(g: WeightedGraph, parts: np.ndarray, caps: np.ndarray, lows: np.ndarray,
+            floors: np.ndarray, rounds: int) -> None:
     """Batches of cut-reducing boundary moves that keep every part between its
     value floor and its cap.
 
@@ -462,10 +460,8 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
     for _ in range(rounds):
         loads = _loads(g, parts, nparts)
         if table is None:
-            boundary = np.zeros(n, dtype=bool)
-            boundary[src[parts[src] != parts[dst]]] = True
-            nodes = np.flatnonzero(boundary)
-            dest, saving = _best_moves(g, src, parts, nodes, caps - loads)
+            nodes = np.flatnonzero(_arc_mask(g, lambda s, d, _: parts[s] != parts[d])[1])
+            dest, saving = _best_moves(g, parts, nodes, caps - loads)
         else:
             conn, cnt = table
             nodes = np.flatnonzero(cnt[np.arange(n), parts] < g.degrees)
@@ -481,20 +477,19 @@ def _refine(g: WeightedGraph, src: np.ndarray, parts: np.ndarray, caps: np.ndarr
         rank[nodes] = np.arange(len(nodes))
         target = parts.copy()
         target[nodes] = dest
-        arcs = _node_arcs(g.neighbor_offsets, nodes)
-        a, b = src[arcs], dst[arcs]
-        pb = np.where(rank[b] < rank[a], target[b], parts[b])
+        arcs, pos = _node_arcs(g.neighbor_offsets, nodes)
+        a, b = nodes[pos], dst[arcs]
+        pb = np.where(rank[b] < pos, target[b], parts[b])
         gain = w[arcs] * ((pb == target[a]).astype(np.float64) - (pb == parts[a]))
-        keep = np.bincount(rank[a], weights=gain, minlength=len(nodes)) > 0
+        keep = np.bincount(pos, weights=gain, minlength=len(nodes)) > 0
         target[nodes[~keep]] = parts[nodes[~keep]]
         nodes, dest = nodes[keep], dest[keep]
         if not len(nodes):
             return
-        arcs = arcs[keep[rank[a]]]
-        if _cut_change(g, src, arcs, parts, target) >= 0:
+        if _cut_change(g, nodes, parts, target) >= 0:
             return
         if table is not None:
-            a = src[arcs]
+            arcs, a = arcs[keep[pos]], a[keep[pos]]
             _move_in_table(conn, cnt, dst[arcs], w[arcs], parts[a], target[a])
         parts[nodes] = dest
         if len(nodes) < 0.001 * n:
@@ -508,7 +503,6 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, seed: in
     caps = np.array([cap * k1, cap * k2])
     lows = np.array([low * k1, low * k2])
     floors = np.array([k1, k2])
-    src = g.arc_sources()
     comp, ncomp = _components(g)
     # several seeded growths; keep the cheapest cut
     side = None
@@ -516,8 +510,8 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, seed: in
     for attempt in range(4):
         cand = _initial_side(g, comp, ncomp, total * k1 / (k1 + k2), (caps[0], caps[1]),
                              (k1, k2), derive_seed(seed, "grow", attempt))
-        _rebalance(g, src, cand, caps, lows, floors)
-        _refine(g, src, cand, caps, lows, floors, _REFINE_ROUNDS)
+        _rebalance(g, cand, caps, lows, floors)
+        _refine(g, cand, caps, lows, floors, _REFINE_ROUNDS)
         cand_cut = cut_weight(g, cand)
         if cand_cut < best_cut:
             best_cut = cand_cut
@@ -590,9 +584,8 @@ def kway_partition(cg: CoarseGraph, k: int, cfg: BisectConfig) -> PartitionMap:
     floors = np.ones(k, dtype=np.int64)
     while True:
         cur = graphs.pop()  # a level is released once its parts are projected up
-        src = cur.arc_sources()
-        _rebalance(cur, src, parts, caps, lows, floors)
-        _refine(cur, src, parts, caps, lows, floors, _REFINE_ROUNDS)
+        _rebalance(cur, parts, caps, lows, floors)
+        _refine(cur, parts, caps, lows, floors, _REFINE_ROUNDS)
         if not maps:
             break
         parts = parts[maps.pop()]

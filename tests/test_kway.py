@@ -255,7 +255,7 @@ def test_best_moves_matches_a_dense_reference():
         parts = rng.integers(0, k, n)
         nodes = np.flatnonzero(rng.random(n) < 0.6)
         room = rng.integers(-2, 5, k).astype(np.float64)
-        dest, saving = kway._best_moves(g, g.arc_sources(), parts, nodes, room)
+        dest, saving = kway._best_moves(g, parts, nodes, room)
         ref_dest, ref_saving = _best_moves_reference(g, parts, nodes, room)
         movable = ref_saving > -np.inf
         assert np.array_equal(saving, ref_saving)
@@ -270,14 +270,13 @@ def test_best_moves_memory_is_linear_in_arcs():
     n, m, k = 20000, 100000, 200
     g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
     parts = rng.integers(0, k, n)
-    src = g.arc_sources()
     tracemalloc.start()
     try:
-        kway._best_moves(g, src, parts, np.arange(n), np.full(k, 50.0))
+        kway._best_moves(g, parts, np.arange(n), np.full(k, 50.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * len(src) < 8 * n * k
+    assert peak < 128 * g.arc_count < 8 * n * k
 
 
 @pytest.mark.parametrize("integer", [True, False])
@@ -325,7 +324,7 @@ def test_part_table_tracks_refinement_and_matches_the_reference(monkeypatch, int
         parts = rng.integers(0, k, n)
         start = parts.copy()
         caps = np.full(k, 1.3 * g.node_values.sum() / k)
-        _refine(g, g.arc_sources(), parts, caps, np.zeros(k), np.ones(k, dtype=np.int64), 8)
+        _refine(g, parts, caps, np.zeros(k), np.ones(k, dtype=np.int64), 8)
         if len(tables) > built:
             check(g, parts)  # and as the last round left them
             moved += np.count_nonzero(parts != start)
@@ -339,14 +338,13 @@ def test_refine_memory_is_linear_in_arcs():
     n, m, k = 20000, 100000, 200
     g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.1, 1.0, m))
     parts = rng.integers(0, k, n)
-    src = g.arc_sources()
     tracemalloc.start()
     try:
-        _refine(g, src, parts, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 4)
+        _refine(g, parts, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * len(src) < 8 * n * k
+    assert peak < 128 * g.arc_count < 8 * n * k
 
 
 def test_many_parts_on_a_mid_size_graph():
@@ -371,14 +369,13 @@ def test_rebalance_meets_the_cap_on_unit_values():
         parts = np.where(rng.random(n) < 0.7, 0, rng.integers(0, k, n))
         parts[:k] = np.arange(k)
         caps = np.full(k, 1.1 * math.ceil(n / k))
-        _rebalance(g, g.arc_sources(), parts, caps, np.zeros(k), np.ones(k, dtype=np.int64))
+        _rebalance(g, parts, caps, np.zeros(k), np.ones(k, dtype=np.int64))
         sizes = np.bincount(parts, minlength=k)
         assert sizes.max() <= caps[0] and sizes.min() >= 1
     # a path whose over-cap part borders only a full part: the moves must go further
     g = from_edges(12, np.arange(11), np.arange(1, 12))
     parts = np.array([0] * 6 + [1] * 4 + [2] * 2)
-    _rebalance(g, g.arc_sources(), parts, np.full(3, 4.4), np.zeros(3),
-               np.ones(3, dtype=np.int64))
+    _rebalance(g, parts, np.full(3, 4.4), np.zeros(3), np.ones(3, dtype=np.int64))
     assert np.bincount(parts, minlength=3).tolist() == [4, 4, 4]
 
 
@@ -414,10 +411,9 @@ def test_refinement_pass_never_increases_cut():
             parts[:k] = np.arange(k)
             caps = np.full(k, float(n))
             floors = np.ones(k, dtype=np.int64)
-            src = g.arc_sources()
             for _ in range(4):
                 before = cut_weight(g, parts)
-                _refine(g, src, parts, caps, np.zeros(k), floors, 1)
+                _refine(g, parts, caps, np.zeros(k), floors, 1)
                 after = cut_weight(g, parts)
                 assert after <= before + 1e-12
                 assert np.bincount(parts, minlength=k).min() >= 1
@@ -434,8 +430,7 @@ def test_cut_change_counts_each_edge_once():
         movers = np.flatnonzero(rng.random(n) < 0.6)
         target = parts.copy()
         target[movers] = (parts[movers] + rng.integers(1, 4, len(movers))) % 4
-        arcs = kway._node_arcs(g.neighbor_offsets, rng.permutation(movers))
-        change = kway._cut_change(g, g.arc_sources(), arcs, parts, target)
+        change = kway._cut_change(g, rng.permutation(movers), parts, target)
         assert change == pytest.approx(2 * (cut_weight(g, target) - cut_weight(g, parts)))
 
 
@@ -447,9 +442,8 @@ def test_refinement_keeps_parts_above_their_value_floor():
     lows = np.full(k, 90.0)
     parts = rng.permutation(np.arange(n) % k)
     unbounded = parts.copy()
-    src = g.arc_sources()
-    _refine(g, src, unbounded, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 20)
-    _refine(g, src, parts, np.full(k, 110.0), lows, np.ones(k, dtype=np.int64), 20)
+    _refine(g, unbounded, np.full(k, 110.0), np.zeros(k), np.ones(k, dtype=np.int64), 20)
+    _refine(g, parts, np.full(k, 110.0), lows, np.ones(k, dtype=np.int64), 20)
     assert np.bincount(unbounded, minlength=k).min() < lows[0]
     sizes = np.bincount(parts, minlength=k)
     assert sizes.min() >= lows[0] and sizes.max() <= 110
