@@ -21,7 +21,6 @@ measured on node values; self-loop mass on coarse nodes is ignored.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -148,16 +147,17 @@ def _node_arcs(off: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return (off[nodes] - np.cumsum(counts) + counts)[pos] + np.arange(len(pos)), pos
 
 
-def _bfs_farthest(g: WeightedGraph, start: int) -> int:
-    """Farthest node from ``start`` within its component (ties to smallest index)."""
-    seen = np.zeros(g.node_count, dtype=bool)
-    seen[start] = True
-    frontier = last = np.asarray([start], dtype=np.int64)
+def _bfs_levels(g: WeightedGraph, start: int) -> np.ndarray:
+    """Hop distance of every node from ``start``, -1 outside its component."""
+    level = np.full(g.node_count, -1, dtype=np.int64)
+    frontier = np.asarray([start], dtype=np.int64)
+    depth = 0
     while len(frontier):
+        level[frontier] = depth
         nbrs = g.neighbor_targets[_node_arcs(g.neighbor_offsets, frontier)[0]]
-        last, frontier = frontier, np.unique(nbrs[~seen[nbrs]])
-        seen[frontier] = True
-    return int(last.min())
+        frontier = np.unique(nbrs[level[nbrs] < 0])
+        depth += 1
+    return level
 
 
 def _components(g: WeightedGraph) -> tuple[np.ndarray, int]:
@@ -183,8 +183,17 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
                   caps: tuple[float, float], floors: tuple[int, int], seed: int) -> np.ndarray:
     """Assign whole connected components to side 0 greedily (largest value
     first) up to the value target, then, if a gap remains that neither side's
-    cap already tolerates, fill it by region growing from a seeded peripheral
-    node inside the largest remaining component.
+    cap already tolerates, fill it by growing side 0 breadth-first from a
+    peripheral node of the largest remaining component (graph growing, the
+    simpler relative of METIS's greedy growing).
+
+    The start is the node farthest from a seeded random member of that
+    component, ties to the smaller index. Side-1 nodes queue by (hop
+    distance from the start, weight to the nodes one hop closer descending,
+    index); nodes outside the start's component follow by (value
+    descending, index). Side 0 takes the longest prefix of the queue before
+    each of whose nodes side 0 is below the value target and side 1 holds
+    more than its floor of nodes, or side 0 holds fewer than its floor.
     """
     n = g.node_count
     vals = g.node_values
@@ -213,40 +222,22 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
     if balanced_already:
         return side
 
-    # grow into the largest unpacked component from one of its peripheral nodes
-    rng = np.random.default_rng(seed)
+    # packing never takes every component: side 1 keeps at least floors[1] nodes
     pending = np.flatnonzero(~packed)
-    heap: list[tuple[float, int]] = []
-    heaviest = None
-    conn = np.zeros(n, dtype=np.float64)
-    if len(pending):
-        c = pending[np.lexsort((pending, -comp_val[pending]))[0]]
-        members = np.flatnonzero(comp == c)
-        start = _bfs_farthest(g, int(members[rng.integers(len(members))]))
-        heapq.heappush(heap, (0.0, start))
-    while (load0 < target0 and assigned < n - floors[1]) or assigned < floors[0]:
-        u = -1
-        while heap:
-            negc, cand = heapq.heappop(heap)
-            if side[cand] == 0 or -negc != conn[cand]:
-                continue  # already taken or stale lazy-heap entry
-            u = cand
-            break
-        if u < 0:
-            if assigned >= n - floors[1]:
-                break
-            if heaviest is None:  # side-1 nodes heaviest first, ties to the smaller index
-                heaviest = iter(np.lexsort((np.arange(n), -vals)).tolist())
-            u = next(v for v in heaviest if side[v] == 1)
-        side[u] = 0
-        load0 += float(vals[u])
-        assigned += 1
-        nb = g.neighbors(u)
-        out = side[nb] == 1
-        nb = nb[out]
-        conn[nb] += g.neighbor_weights(u)[out]  # a row holds each neighbour once
-        for item in zip((-conn[nb]).tolist(), nb.tolist()):
-            heapq.heappush(heap, item)
+    members = np.flatnonzero(comp == pending[np.argmax(comp_val[pending])])
+    member = members[np.random.default_rng(seed).integers(len(members))]
+    level = _bfs_levels(g, int(_bfs_levels(g, member).argmax()))
+    reached = np.flatnonzero(level >= 0)
+    arcs, pos = _node_arcs(g.neighbor_offsets, reached)
+    closer = level[g.neighbor_targets[arcs]] == level[reached][pos] - 1
+    pull = np.bincount(pos, weights=g.edge_weights[arcs] * closer, minlength=len(reached))
+    rest = np.flatnonzero((level < 0) & (side == 1))
+    queue = np.concatenate([reached[np.lexsort((reached, -pull, level[reached]))],
+                            rest[np.lexsort((rest, -vals[rest]))]])
+    before = assigned + np.arange(len(queue))  # side 0's node count before each queued node
+    load = load0 + np.cumsum(vals[queue]) - vals[queue]
+    grow = ((load < target0) & (before < n - floors[1])) | (before < floors[0])
+    side[queue[:np.argmin(np.append(grow, False))]] = 0
     return side
 
 

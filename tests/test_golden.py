@@ -21,18 +21,18 @@ from lppart.pipeline import PartitionConfig, partition_graph
 
 GOLDEN = {
     "graph.tsv": "e5abcf5cdfa1fc4f3138dad0d3118f9ccbc196300346bcf873a9d05ae218ffee",
-    "parts.tsv": "0346f2cd45da336c88af00d841e165d0af0f5e70ccb55c53de82144d46e905e7",
-    "metrics.json": "09ba18a208064446b0c89250cc4247f7c68942cab9bff9705520174b49b235c6",
-    "coarse-node.tsv": "c12314dec56f8a66eee79a4b567a435e6d2b4e645746063ff012af3b41223649",
-    "coarse-node.tsv.values": "a9d37dfd61796b7b11fc1a5acfa338f531dded81600c2c35d16507642a8c74b7",
-    "coarse-edge.tsv": "c12314dec56f8a66eee79a4b567a435e6d2b4e645746063ff012af3b41223649",
-    "coarse-edge.tsv.values": "a9d37dfd61796b7b11fc1a5acfa338f531dded81600c2c35d16507642a8c74b7",
+    "parts.tsv": "9cd2cd07b27e677fcf17a1c6ab4f565624c6e1958d24759ab52904d489c5e9b1",
+    "metrics.json": "7887cca6c6d451cc5190eafa798c6b8b34f6cfc6ba62d6534d0490bc65b46641",
+    "coarse-node.tsv": "f535dbeba3a6525783a3cf6803521393d47c941ea17b85a6a485f4856cc6e068",
+    "coarse-node.tsv.values": "2020565b1fdcddb36a8eee7e702825ba0d45ede62033660826ce988068c8c6c0",
+    "coarse-edge.tsv": "f535dbeba3a6525783a3cf6803521393d47c941ea17b85a6a485f4856cc6e068",
+    "coarse-edge.tsv.values": "2020565b1fdcddb36a8eee7e702825ba0d45ede62033660826ce988068c8c6c0",
     "refined-nodes.tsv": "d4763d37e9f323ef82b611900fbe1850430a4ec46edafa43e6457eed5f03ca26",
     "refined-edges.tsv": "55a08daef5963b4d1ab774b3cd5452724294e96044e346d8546c64f2506337bb",
     "pagerank.tsv": "b153e60ad66e3f35d292b1bd910172f9d787e788be1628b58a670091bc39ce61",
     "features.tsv": "644b2ce47f795132c2846d9f5f0fbe31e2635edfa3194639399ec1e158d760e4",
-    "global.tsv": "cf9000c4fcbedad040d28fa86c56a5926280b649ca27d8d81ee241e5404004e9",
-    "joined.tsv": "b15ce1a385da0c08fff307d454cf51cfba01cbe148046154a176958ddc89d66c",
+    "global.tsv": "59bc386c24cbb1e95ed1644ff28081b0abdcb69d7a89b2990307606708d3da74",
+    "joined.tsv": "2b5e13db3b399482ff072d4806f8f0e2e898035351b1428bd49c417f8ddd19ef",
 }
 
 # partition_graph(...).parts.assignment.tobytes() on graphs where the level

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -568,6 +569,99 @@ def test_components_match_depth_first_search():
         expected, expected_count = _components_reference(g)
         assert count == expected_count
         assert comp.tolist() == expected.tolist()
+
+
+def _bfs_levels_reference(g, start):
+    """Breadth-first search from ``start`` with a FIFO queue."""
+    level = [-1] * g.node_count
+    level[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u).tolist():
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def _random_split_inputs(rng, trials):
+    """Random graphs, many of them disconnected, with integer weights and values."""
+    for _ in range(trials):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(0, 3 * n))
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                       rng.integers(1, 3, m).astype(np.float64), rng.integers(1, 6, n))
+        yield g, int(rng.integers(n))
+
+
+def test_bfs_levels_match_a_queue_search():
+    rng = np.random.default_rng(41)
+    components = set()
+    for g, start in _random_split_inputs(rng, 60):
+        assert kway._bfs_levels(g, start).tolist() == _bfs_levels_reference(g, start)
+        components.add(kway._components(g)[1] > 1)
+    assert components == {True, False}
+
+
+def _initial_side_reference(g, comp, ncomp, target0, caps, floors, seed):
+    """The contract replayed node by node: pack whole components, then grow
+    side 0 along the BFS queue while the loop condition holds."""
+    n, vals, comp = g.node_count, g.node_values.tolist(), comp.tolist()
+    comp_val, comp_cnt = [0.0] * ncomp, [0] * ncomp
+    for u in range(n):
+        comp_val[comp[u]] += vals[u]
+        comp_cnt[comp[u]] += 1
+    load, assigned, packed = 0.0, 0, set()
+    for c in sorted(range(ncomp), key=lambda c: (-comp_val[c], c)):
+        if load >= target0:
+            break
+        if load + comp_val[c] <= target0 + 1e-9 and assigned + comp_cnt[c] <= n - floors[1]:
+            load += comp_val[c]
+            assigned += comp_cnt[c]
+            packed.add(c)
+    side = [0 if comp[u] in packed else 1 for u in range(n)]
+    if (0 < assigned and floors[0] <= assigned <= n - floors[1] and load <= caps[0]
+            and sum(vals) - load <= caps[1]):
+        return side, False
+    grown = min((c for c in range(ncomp) if c not in packed), key=lambda c: (-comp_val[c], c))
+    members = [u for u in range(n) if comp[u] == grown]
+    around = _bfs_levels_reference(g, members[np.random.default_rng(seed).integers(len(members))])
+    level = _bfs_levels_reference(g, max(range(n), key=lambda u: (around[u], -u)))
+
+    def pull(u):  # weight to the nodes one hop closer to the start
+        return sum(w for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u).tolist())
+                   if level[v] == level[u] - 1)
+
+    queue = sorted((u for u in range(n) if level[u] >= 0), key=lambda u: (level[u], -pull(u), u))
+    queue += sorted((u for u in range(n) if level[u] < 0 and side[u] == 1),
+                    key=lambda u: (-vals[u], u))
+    for u in queue:
+        if not ((load < target0 and assigned < n - floors[1]) or assigned < floors[0]):
+            break
+        side[u] = 0
+        load += vals[u]
+        assigned += 1
+    return side, True
+
+
+def test_initial_side_grows_the_longest_prefix_the_loop_allows():
+    rng = np.random.default_rng(43)
+    paths = set()
+    for g, seed in _random_split_inputs(rng, 120):
+        n = g.node_count
+        k1 = int(rng.integers(1, max(2, n // 2)))
+        k2 = int(rng.integers(1, n - k1 + 1))
+        cap = float(rng.uniform(1.0, 1.3)) * g.node_values.sum() / (k1 + k2)
+        comp, ncomp = kway._components(g)
+        args = (comp, ncomp, g.node_values.sum() * k1 / (k1 + k2), (cap * k1, cap * k2),
+                (k1, k2), seed)
+        side = kway._initial_side(g, *args)
+        expected, grew = _initial_side_reference(g, *args)
+        assert side.tolist() == expected
+        assert np.count_nonzero(side == 0) >= k1 and np.count_nonzero(side == 1) >= k2
+        paths.add(grew)
+    assert paths == {True, False}  # packing alone balanced some splits, growth the rest
 
 
 def test_isolated_nodes_do_not_stop_matching(monkeypatch):
