@@ -495,12 +495,17 @@ def _bisect(g: WeightedGraph, k1: int, k2: int, cap: float, low: float, seed: in
     lows = np.array([low * k1, low * k2])
     floors = np.array([k1, k2])
     comp, ncomp = _components(g)
-    # several seeded growths; keep the cheapest cut
+    # several seeded growths; keep the cheapest cut. The attempts share their
+    # component packing, so a repeated start repeats a side: each side is refined once
     side = None
     best_cut = math.inf
+    tried = set()
     for attempt in range(4):
         cand = _initial_side(g, comp, ncomp, total * k1 / (k1 + k2), (caps[0], caps[1]),
                              (k1, k2), derive_seed(seed, "grow", attempt))
+        if cand.tobytes() in tried:
+            continue
+        tried.add(cand.tobytes())
         _rebalance(g, cand, caps, lows, floors)
         _refine(g, cand, caps, lows, floors, _REFINE_ROUNDS)
         cand_cut = cut_weight(g, cand)

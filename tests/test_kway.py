@@ -664,6 +664,20 @@ def test_initial_side_grows_the_longest_prefix_the_loop_allows():
     assert paths == {True, False}  # packing alone balanced some splits, growth the rest
 
 
+def test_bisection_runs_each_distinct_start_once(monkeypatch):
+    starts = []
+    real_rebalance = kway._rebalance
+    monkeypatch.setattr(kway, "_rebalance", lambda g, parts, *a: starts.append(parts.tobytes())
+                        or real_rebalance(g, parts, *a))
+    # two equal disjoint paths: packing balances the split, so every attempt agrees
+    kway._bisect(from_edges(8, [0, 1, 2, 4, 5, 6], [1, 2, 3, 5, 6, 7]), 1, 1, 4.4, 0.0, 1)
+    assert len(starts) == 1
+    for seed in range(5):
+        starts.clear()
+        kway._bisect(_grid(6), 1, 1, 19.8, 0.0, seed)
+        assert 1 <= len(starts) <= 4 and len(set(starts)) == len(starts)
+
+
 def test_isolated_nodes_do_not_stop_matching(monkeypatch):
     # nodes without an edge are packed into clusters, so they neither end the
     # hierarchy early nor crowd the coarsest graph
