@@ -182,6 +182,7 @@ def manifest_dict(cfg: PartitionConfig, result: PipelineResult,
             "outer_t": cfg.outer_t,
             "epsilon": cfg.bisect.epsilon,
             "seed": cfg.lp.seed,
+            "bisect_seed": cfg.bisect.seed,
             "min_subgraph_warn": cfg.min_subgraph_warn,
         },
         "threads": threads,

@@ -242,6 +242,7 @@ def test_manifest_records_config_and_stages():
     assert parsed["config"]["t_iterations"] == 2
     assert parsed["config"]["outer_t"] == 2
     assert parsed["config"]["seed"] == 11
+    assert parsed["config"]["bisect_seed"] == 42  # the finisher's seed is set apart from LP's
     assert parsed["threads"] == 4
     assert len(parsed["levels"]) == 3
     assert {"label_prop_ms", "coarsen_ms", "kway_ms"} <= set(parsed["timings_ms"])
