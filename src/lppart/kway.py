@@ -191,9 +191,10 @@ def _initial_side(g: WeightedGraph, comp: np.ndarray, ncomp: int, target0: float
     component, ties to the smaller index. Side-1 nodes queue by (hop
     distance from the start, weight to the nodes one hop closer descending,
     index); nodes outside the start's component follow by (value
-    descending, index). Side 0 takes the longest prefix of the queue before
-    each of whose nodes side 0 is below the value target and side 1 holds
-    more than its floor of nodes, or side 0 holds fewer than its floor.
+    descending, index). Side 0 takes the longest prefix of the queue such
+    that, before each of its nodes, side 0 is below the value target and
+    side 1 holds more than its floor of nodes, or side 0 holds fewer than
+    its own floor.
     """
     n = g.node_count
     vals = g.node_values
