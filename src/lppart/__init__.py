@@ -4,8 +4,8 @@ multilevel k-way finisher, plus subgraph augmentation and quality metrics."""
 __version__ = "0.1.0"
 
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, from_edges,
-                          induced_subgraph, load_edge_list, read_node_set, validate_graph,
-                          write_edge_list, write_node_set)
+                          induced_subgraph, load_edge_list, read_node_set, thread_count,
+                          validate_graph, worker_threads, write_edge_list, write_node_set)
 from lppart.generate import GeneratorSpec, generate
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
@@ -21,8 +21,8 @@ from lppart.metrics import (PartitionReport, SpectralCheckReport, balance, build
 
 __all__ = [
     "GraphFormatError", "IdMap", "PartitionMap", "WeightedGraph", "from_edges",
-    "induced_subgraph", "load_edge_list", "read_node_set", "validate_graph",
-    "write_edge_list", "write_node_set",
+    "induced_subgraph", "load_edge_list", "read_node_set", "thread_count", "validate_graph",
+    "worker_threads", "write_edge_list", "write_node_set",
     "GeneratorSpec", "generate",
     "LabelState", "LpParams", "edge_retention", "multilevel_label_prop", "plain_lpa",
     "vote_update",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 
@@ -20,7 +19,8 @@ from lppart.augment import (PagerankParams, aggregate_features, concat_global, p
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _read_table, _read_text,
-                          _write_table, load_edge_list, write_edge_list)
+                          _write_table, load_edge_list, thread_count, worker_threads,
+                          write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
@@ -56,8 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="level loop bound (builds outer_t+1 levels)")
     p.add_argument("--epsilon", type=float, default=0.1, help="allowed value imbalance")
     p.add_argument("--seed", type=int, default=42, help="pipeline seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker threads (results never depend on this)")
+    p.add_argument("--threads", type=int, default=thread_count(),
+                   help="threads the label-propagation and k-way arc passes run on, "
+                        "by default the CPUs this process may use (results never "
+                        "depend on this)")
     p.add_argument("--min-subgraph-warn", type=int, default=30000,
                    help="warn for parts smaller than this many nodes")
     p.add_argument("--out", required=True, help="output partition TSV path")
@@ -121,26 +123,27 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    t0 = time.perf_counter()
-    g, id_map = load_edge_list(args.input)
-    load_ms = (time.perf_counter() - t0) * 1000.0
-    cfg = PartitionConfig(
-        k=args.k,
-        lp=LpParams(p_ratio=args.p_ratio, p_bound=args.p_bound,
-                    t_iterations=args.t, seed=args.seed),
-        outer_t=args.outer_t,
-        bisect=BisectConfig(epsilon=args.epsilon, seed=args.seed),
-        min_subgraph_warn=args.min_subgraph_warn,
-    )
-    result = partition_graph(g, cfg)
-    t0 = time.perf_counter()
-    write_partition_file(result.parts, id_map, args.out)
-    result.timings_ms = {"load_ms": load_ms, **result.timings_ms,
-                         "write_ms": (time.perf_counter() - t0) * 1000.0}
-    if args.manifest:
-        write_manifest(args.manifest, cfg, result, threads=args.threads)
-    logger.info("partitioned %d nodes into %d parts", g.node_count, args.k)
-    return 0
+    with worker_threads(args.threads):
+        t0 = time.perf_counter()
+        g, id_map = load_edge_list(args.input)
+        load_ms = (time.perf_counter() - t0) * 1000.0
+        cfg = PartitionConfig(
+            k=args.k,
+            lp=LpParams(p_ratio=args.p_ratio, p_bound=args.p_bound,
+                        t_iterations=args.t, seed=args.seed),
+            outer_t=args.outer_t,
+            bisect=BisectConfig(epsilon=args.epsilon, seed=args.seed),
+            min_subgraph_warn=args.min_subgraph_warn,
+        )
+        result = partition_graph(g, cfg)
+        t0 = time.perf_counter()
+        write_partition_file(result.parts, id_map, args.out)
+        result.timings_ms = {"load_ms": load_ms, **result.timings_ms,
+                             "write_ms": (time.perf_counter() - t0) * 1000.0}
+        if args.manifest:
+            write_manifest(args.manifest, cfg, result)
+        logger.info("partitioned %d nodes into %d parts", g.node_count, args.k)
+        return 0
 
 
 def _load_graph_and_parts(input_path: str, parts_path: str):

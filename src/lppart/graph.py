@@ -12,8 +12,11 @@ from __future__ import annotations
 import contextlib
 import io
 import logging
+import os
 import re
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -29,7 +32,12 @@ _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 # rows the text writers convert to Python scalars at a time
 _ROW_BLOCK = 1 << 16
 # arcs an arc pass handles at a time (whole rows, so one hub row can exceed it)
-_ARC_BLOCK = 1 << 18
+_ARC_BLOCK = 1 << 16
+# threads an arc pass runs on, the calling one included (see ``worker_threads``)
+_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# the worker pool as (process id, thread count, pool), made by ``_pool`` on first use
+_pool_key: tuple[int, int, ThreadPoolExecutor] | None = None
 
 
 class GraphFormatError(ValueError):
@@ -133,38 +141,112 @@ class WeightedGraph:
                              self.edge_weights, _checked_values(values, self.node_count))
 
 
-def _row_blocks(g: WeightedGraph):
-    """Row ranges ``(a, b)`` of ``g`` in order, with the source of each of their arcs.
+def thread_count() -> int:
+    """Threads an arc pass runs on, the calling one included.
 
-    Each range holds whole rows: as many as fit in ``_ARC_BLOCK`` arcs, but
+    The CPUs this process may use, unless ``worker_threads`` set another count.
+    """
+    return _threads
+
+
+@contextlib.contextmanager
+def worker_threads(n: int):
+    """Run every arc pass inside the ``with`` block on ``n`` threads, the calling one included.
+
+    The count is process-wide and restored on exit. Results never depend on it.
+    """
+    global _threads
+    if n < 1:
+        raise ValueError(f"thread count must be at least 1, got {n}")
+    old, _threads = _threads, n
+    try:
+        yield
+    finally:
+        _threads = old
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The shared pool of ``thread_count() - 1`` workers.
+
+    It is made anew when the count changes, shutting the old one down, and
+    after ``os.fork``: a pool made before a fork has no threads in the
+    child, where a task submitted to it would wait forever.
+    """
+    global _pool_key
+    pid = os.getpid()
+    if _pool_key is None or _pool_key[:2] != (pid, _threads):
+        if _pool_key is not None and _pool_key[0] == pid:
+            _pool_key[2].shutdown()
+        _pool_key = (pid, _threads, ThreadPoolExecutor(_threads - 1, "lppart-rows"))
+    return _pool_key[2]
+
+
+def _map_rows(g: WeightedGraph, fn) -> None:
+    """Run ``fn(a, b, src)`` on each row block ``[a, b)`` of ``g``, ``src``
+    the source of each of the block's arcs.
+
+    Each block holds whole rows: as many as fit in ``_ARC_BLOCK`` arcs, but
     at least one arc, so a row with more arcs is a block of its own. The
-    ranges tile the rows from 0 up to the last arc; empty rows after it may
-    be left out. An arc pass over them holds temporaries for one block, not
-    for the whole arc array.
+    blocks tile the rows from 0 up to the last arc; empty rows after it may
+    be left out. A pass holds temporaries for one block per thread, not for
+    the whole arc array.
+
+    The calling thread and up to ``thread_count() - 1`` pooled workers, but
+    never more workers than blocks less one, each take the next block left.
+    Blocks may run in any order, so ``fn`` writes only its own rows' slices
+    of shared outputs (rows ``[a, b)``, arcs ``[offsets[a], offsets[b])``),
+    and the outputs are the same for every thread count. With one thread the
+    blocks run inline, in order. An exception in ``fn`` is raised here once
+    no block is running.
     """
     off = g.neighbor_offsets
+    blocks = []
     a = 0
     while off[a] < off[-1]:
         b = max(int(np.searchsorted(off, off[a] + _ARC_BLOCK, side="right")) - 1,
                 int(np.searchsorted(off, off[a], side="right")))
-        yield a, b, np.repeat(np.arange(a, b, dtype=np.int64), np.diff(off[a:b + 1]))
+        blocks.append((a, b))
         a = b
+    todo = iter(blocks)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            a, b = block
+            fn(a, b, np.repeat(np.arange(a, b, dtype=np.int64), np.diff(off[a:b + 1])))
+
+    workers = min(_threads, len(blocks)) - 1
+    futures = [_pool().submit(drain) for _ in range(workers)]
+    try:
+        drain()
+    finally:
+        todo = iter(())  # after an error here, the workers take no further block
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _arc_mask(g: WeightedGraph, rule) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the arcs for which ``rule(src, dst, w)`` holds, and each row's count of them.
 
     ``rule`` maps one row block's arc sources, targets and weights to a
-    boolean array.
+    boolean array (``_map_rows``).
     """
     off = g.neighbor_offsets
     keep = np.zeros(g.arc_count, dtype=bool)
     counts = np.zeros(g.node_count, dtype=np.int64)
-    for a, b, src in _row_blocks(g):
+
+    def block(a, b, src):
         lo, hi = off[a], off[b]
         kept = rule(src, g.neighbor_targets[lo:hi], g.edge_weights[lo:hi])
         keep[lo:hi] = kept
         counts[a:b] = np.bincount(src[kept] - a, minlength=b - a)
+
+    _map_rows(g, block)
     return keep, counts
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
-from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _row_blocks, induced_subgraph
+from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _map_rows, induced_subgraph
 from lppart.labelprop import _run_heads
 from lppart.seeding import derive_seed, edge_uniform
 
@@ -65,11 +65,15 @@ def per_part_cap(total: float, k: int, epsilon: float) -> float:
 
 
 def _pointers(g: WeightedGraph, seed: int, max_mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's best-rated neighbour within ``max_mass`` (itself if none) and that rating."""
+    """Each node's best-rated neighbour within ``max_mass`` (itself if none) and that rating.
+
+    Built a row block at a time (``_map_rows``), each block writing its own rows.
+    """
     mass = g.node_values.astype(np.float64)
     ptr = np.arange(g.node_count, dtype=np.int64)
     best_rating = np.zeros(g.node_count)
-    for a, b, src in _row_blocks(g):
+
+    def block(a, b, src):
         lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
         dst = g.neighbor_targets[lo:hi]
         ms, md = mass[src], mass[dst]
@@ -85,6 +89,8 @@ def _pointers(g: WeightedGraph, seed: int, max_mass: float) -> tuple[np.ndarray,
         chosen = top[_run_heads(src[top]) & (rating[top] > -np.inf)]  # rows ascend by target
         ptr[src[chosen]] = dst[chosen]
         best_rating[src[chosen]] = rating[chosen]
+
+    _map_rows(g, block)
     return ptr, best_rating
 
 
@@ -316,16 +322,19 @@ def _choose(lowest: np.ndarray, top: np.ndarray, internal: np.ndarray, own: np.n
 def _part_table(g: WeightedGraph, parts: np.ndarray,
                 nparts: int) -> tuple[np.ndarray, np.ndarray]:
     """Node-by-part tables of each node's connection weight to every part and
-    its count of neighbours there, built a row block at a time."""
+    its count of neighbours there, built a row block at a time (``_map_rows``)."""
     dst, w = g.neighbor_targets, g.edge_weights
     conn = np.zeros((g.node_count, nparts))
     cnt = np.zeros((g.node_count, nparts), dtype=np.int64)
-    for a, b, src in _row_blocks(g):
+
+    def block(a, b, src):
         lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
         key = (src - a) * nparts + parts[dst[lo:hi]]
         size = (b - a) * nparts
         conn[a:b] = np.bincount(key, weights=w[lo:hi], minlength=size).reshape(b - a, nparts)
         cnt[a:b] = np.bincount(key, minlength=size).reshape(b - a, nparts)
+
+    _map_rows(g, block)
     return conn, cnt
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _row_blocks, _stable_order
+from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _map_rows, _stable_order
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -66,7 +66,7 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     is symmetric: filtering the (source, target)-sorted arc arrays by it keeps
     both arcs of every surviving edge, in order, with no re-sort.
 
-    Both passes run over row blocks (``_row_blocks``). Each row's weighted
+    Both passes run over row blocks (``_map_rows``). Each row's weighted
     degree is a ``bincount`` over its block, which adds the row's weights
     in the same order as one over all arcs would.
     """
@@ -74,8 +74,11 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
         return g
     off = g.neighbor_offsets
     wdeg = np.zeros(g.node_count)
-    for a, b, src in _row_blocks(g):
+
+    def degrees(a, b, src):
         wdeg[a:b] = np.bincount(src - a, weights=g.edge_weights[off[a]:off[b]], minlength=b - a)
+
+    _map_rows(g, degrees)
 
     def rule(src, dst, w):
         kept = ((w / wdeg[src]) >= params.p_ratio) | ((w / wdeg[dst]) >= params.p_ratio)
@@ -112,16 +115,17 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     Isolated nodes keep their label. A node's own label gets no vote of its
     own.
 
-    The vote runs over row blocks of about 2^18 arcs (``_row_blocks``):
+    The vote runs over row blocks of about 2^16 arcs (``_map_rows``):
     everything a node's vote reads lies in its own row, so each block's
-    temporaries are all the vote holds beyond the graph and the labels. In
-    a block, arcs are grouped by one stable sort (``_stable_order``) on a
-    packed (node, label) key, so each score sums its contributions in
-    adjacency order. The groups come out node-major, and one maximum over
-    each node's segment of groups gives its best score. A node whose
-    current label reaches it keeps that label; a node with a single
-    maximizer takes it; only the nodes left with several tied candidates
-    sort those candidates by (node, hash, label) and take the first.
+    temporaries are all the vote holds beyond the graph and the labels, and
+    each block writes only its own rows' new labels. In a block, arcs are
+    grouped by one stable sort (``_stable_order``) on a packed (node,
+    label) key, so each score sums its contributions in adjacency order.
+    The groups come out node-major, and one maximum over each node's
+    segment of groups gives its best score. A node whose current label
+    reaches it keeps that label; a node with a single maximizer takes it;
+    only the nodes left with several tied candidates sort those candidates
+    by (node, hash, label) and take the first.
 
     With ``plain=True`` the vote degrades to classic frequency counting:
     weights and node values are ignored and ties always go to the smallest
@@ -142,7 +146,8 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
         ranks = np.unique(labels, return_inverse=True)[1]
     span = ranks.max() + 1
     off = g.neighbor_offsets
-    for a, b, src in _row_blocks(g):
+
+    def vote(a, b, src):
         dst = g.neighbor_targets[off[a]:off[b]]
         if plain:
             contrib = np.ones(len(dst), dtype=np.float64)
@@ -175,6 +180,8 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
                                     seg[rest]))]
             winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
         new_labels[g_src[winners]] = g_lab[winners]
+
+    _map_rows(g, vote)
     return LabelState(new_labels, state.iteration + 1)
 
 

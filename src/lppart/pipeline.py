@@ -24,7 +24,7 @@ import numpy as np
 
 from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, _line_of_row,
-                          _read_table, _read_text, _write_table)
+                          _read_table, _read_text, _write_table, thread_count)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
 from lppart.labelprop import LpParams, multilevel_label_prop
 from lppart.seeding import derive_seed
@@ -170,9 +170,8 @@ def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
     return PartitionMap(assign, int(assign.max()) + 1)
 
 
-def manifest_dict(cfg: PartitionConfig, result: PipelineResult,
-                  threads: int | None = None) -> dict:
-    """Assemble the JSON-ready run manifest."""
+def manifest_dict(cfg: PartitionConfig, result: PipelineResult) -> dict:
+    """Assemble the JSON-ready run manifest; ``threads`` is the ``thread_count()`` in effect."""
     return {
         "config": {
             "k": cfg.k,
@@ -185,7 +184,7 @@ def manifest_dict(cfg: PartitionConfig, result: PipelineResult,
             "bisect_seed": cfg.bisect.seed,
             "min_subgraph_warn": cfg.min_subgraph_warn,
         },
-        "threads": threads,
+        "threads": thread_count(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "levels": result.level_sizes,
         "timings_ms": result.timings_ms,
@@ -194,8 +193,7 @@ def manifest_dict(cfg: PartitionConfig, result: PipelineResult,
     }
 
 
-def write_manifest(path: str | Path, cfg: PartitionConfig, result: PipelineResult,
-                   threads: int | None = None) -> None:
+def write_manifest(path: str | Path, cfg: PartitionConfig, result: PipelineResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_dict(cfg, result, threads), fh, indent=2)
+        json.dump(manifest_dict(cfg, result), fh, indent=2)
         fh.write("\n")

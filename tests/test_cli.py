@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lppart.cli import run
+from lppart.graph import thread_count
 
 
 def _read(path):
@@ -45,6 +46,26 @@ def test_partition_runs_are_byte_identical(tmp_path):
                     "--threads", threads, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_are_rejected(tmp_path, capsys, threads):
+    graph = tmp_path / "g.tsv"
+    run(["gen", "--model", "ring(6)", "--out", str(graph)])
+    assert run(["partition", "--input", str(graph), "--k", "2", "--threads", threads,
+                "--out", str(tmp_path / "p.tsv")]) == 1
+    assert f"error: thread count must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
+def test_manifest_records_the_threads_used(tmp_path):
+    graph = tmp_path / "g.tsv"
+    run(["gen", "--model", "ring(6)", "--out", str(graph)])
+    for argv, want in (([], thread_count()), (["--threads", "3"], 3)):
+        manifest = tmp_path / "m.json"
+        assert run(["partition", "--input", str(graph), "--k", "2", "--out",
+                    str(tmp_path / "p.tsv"), "--manifest", str(manifest)] + argv) == 0
+        assert json.loads(_read(manifest))["threads"] == want
 
 
 def test_metrics_on_single_part_assignment(tmp_path):

@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -455,17 +458,99 @@ def test_stable_order_matches_stable_argsort():
         assert np.array_equal(graph._stable_order(key), [3, 1, 4, 0, 2])
 
 
+def _hub_graph():
+    """Node 1 is a hub of 12 arcs; nodes 0 and 16.. have none: 4 blocks of 8 arcs."""
+    return from_edges(20, [1] * 12 + [2, 3, 4], list(range(2, 14)) + [3, 4, 5])
+
+
+def _map_rows_blocks(g, threads):
+    """The ``(a, b, src)`` of each block ``_map_rows`` runs, in the order they ran."""
+    blocks = []
+    with graph.worker_threads(threads):
+        graph._map_rows(g, lambda a, b, src: blocks.append((a, b, src)))
+    return blocks
+
+
 def test_row_blocks_hold_whole_rows_of_about_one_block(monkeypatch):
     monkeypatch.setattr(graph, "_ARC_BLOCK", 8)
-    # node 1 is a hub of 12 arcs; nodes 0 and 16.. have none
-    g = from_edges(20, [1] * 12 + [2, 3, 4], list(range(2, 14)) + [3, 4, 5])
+    g = _hub_graph()
     off = g.neighbor_offsets
-    blocks = list(graph._row_blocks(g))
-    assert [(a, b) for a, b, _ in blocks] == [(0, 2), (2, 5), (5, 12), (12, 20)]
-    for a, b, src in blocks:
-        assert np.array_equal(src, g.arc_sources()[off[a]:off[b]])
-        assert 0 < off[b] - off[a] <= 8 or np.count_nonzero(g.degrees[a:b]) == 1
-    assert list(graph._row_blocks(from_edges(5, [], []))) == []
+    for threads in (1, 3):
+        blocks = sorted(_map_rows_blocks(g, threads), key=lambda block: block[0])
+        assert [(a, b) for a, b, _ in blocks] == [(0, 2), (2, 5), (5, 12), (12, 20)]
+        for a, b, src in blocks:
+            assert np.array_equal(src, g.arc_sources()[off[a]:off[b]])
+            assert 0 < off[b] - off[a] <= 8 or np.count_nonzero(g.degrees[a:b]) == 1
+        assert _map_rows_blocks(from_edges(5, [], []), threads) == []
+
+
+def test_map_rows_runs_inline_in_order_on_one_thread(monkeypatch):
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 8)
+    g = _hub_graph()
+    ran = []
+    with graph.worker_threads(1):
+        graph._map_rows(g, lambda a, b, src: ran.append((a, threading.current_thread())))
+    assert ran == [(a, threading.main_thread()) for a in (0, 2, 5, 12)]
+
+
+def test_map_rows_starts_at_most_one_worker_less_than_blocks(monkeypatch):
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 8)
+    g = _hub_graph()
+    with graph.worker_threads(64):
+        graph._map_rows(g, lambda a, b, src: None)  # the 64-thread pool, made once
+        graph._pool_key[2].shutdown()  # its workers end, so the next pass starts its own
+        graph._pool_key = None
+        before = threading.active_count()
+        graph._map_rows(g, lambda a, b, src: time.sleep(0.01))
+        assert threading.active_count() - before <= 3
+
+
+def test_map_rows_raises_an_error_of_a_block(monkeypatch):
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 8)
+    g = _hub_graph()
+
+    def fail_on_block_5(a, b, src):
+        if a == 5:
+            raise RuntimeError("block 5")
+
+    for threads in (1, 2, 4):
+        with graph.worker_threads(threads), pytest.raises(RuntimeError, match="block 5"):
+            graph._map_rows(g, fail_on_block_5)
+
+
+def test_map_rows_holds_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a block that
+    # wrote outside its rows, or a block run twice or never, changes the counts
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 16)
+    g = generate(GeneratorSpec("random_weighted", (2000, 8000, 0.1, 1.0), seed=4))
+    with graph.worker_threads(1):
+        want = graph._arc_mask(g, lambda src, dst, w: w > 0.5)
+    runs = np.zeros(g.node_count, dtype=np.int64)
+
+    def count(a, b, src):
+        runs[a:b] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with graph.worker_threads(8):
+            for _ in range(3):
+                got = graph._arc_mask(g, lambda src, dst, w: w > 0.5)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+                graph._map_rows(g, count)
+    finally:
+        sys.setswitchinterval(interval)
+    last = int(np.flatnonzero(g.degrees)[-1])
+    assert (runs[:last + 1] == 3).all()
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_worker_threads_must_be_positive(bad):
+    before = graph.thread_count()
+    with pytest.raises(ValueError, match="at least 1"):
+        with graph.worker_threads(bad):
+            pass
+    assert graph.thread_count() == before
 
 
 def test_merge_edges_sums_parallel_edges_in_input_order():

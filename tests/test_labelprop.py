@@ -1,13 +1,18 @@
+import functools
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lppart import graph
+from lppart import graph, kway
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import WeightedGraph, _csr_from_canonical, from_edges, induced_subgraph
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
+from lppart.pipeline import PartitionConfig, partition_graph
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -392,9 +397,13 @@ def test_label_prop_rounds_match_sort_oracle():
 
 
 def _block_cases():
-    """The oracle sweep plus a hub row, trailing isolated nodes and a graph with no arcs."""
+    """The oracle sweep plus a hub row, trailing isolated nodes and a graph with no arcs.
+
+    Each case is a graph, its label sets and whether to partition it whole:
+    every tenth oracle graph and the three others are.
+    """
     for trial, g, rng in _oracle_graphs():
-        yield g, list(_oracle_label_sets(g, rng))
+        yield g, list(_oracle_label_sets(g, rng)), trial % 10 == 0
     rng = np.random.default_rng(77)
     hub = from_edges(300, np.r_[np.zeros(150, dtype=np.int64), rng.integers(1, 300, 400)],
                      np.r_[np.arange(150, 300), rng.integers(1, 300, 400)],
@@ -402,15 +411,16 @@ def _block_cases():
     trailing = from_edges(90, rng.integers(0, 30, 120), rng.integers(0, 30, 120))
     empty = from_edges(12, [], [])
     for g in (hub, trailing, empty):
-        yield g, [np.arange(g.node_count), rng.integers(0, 4, g.node_count)]
+        yield g, [np.arange(g.node_count), rng.integers(0, 4, g.node_count)], True
 
 
-def _block_outputs(g, label_sets):
+def _block_outputs(g, label_sets, whole):
     """Every array the row-blocked passes produce on ``g``."""
     out = []
     for labels in label_sets:
         for plain in (False, True):
             out.append(vote_update(g, LabelState(labels.copy()), plain=plain).labels)
+        out += kway._part_table(g, labels % 3, 3)
     for ratio, bound in ((0.5, 0.1), (0.3, 0.0), (1.0, 1.0)):
         pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=bound), 1)
         out += [pruned.neighbor_offsets, pruned.neighbor_targets, pruned.edge_weights]
@@ -420,18 +430,59 @@ def _block_outputs(g, label_sets):
     out += [rebuilt.neighbor_offsets, rebuilt.neighbor_targets, rebuilt.edge_weights]
     sub, _ = induced_subgraph(g, np.arange(0, g.node_count, 2))
     out += [sub.neighbor_offsets, sub.neighbor_targets, sub.edge_weights]
+    for max_mass in (np.inf, 2.0):
+        out += kway._pointers(g.with_node_values(np.arange(g.node_count) % 2 + 1), 5, max_mass)
+    if whole:
+        cfg = PartitionConfig(k=min(3, g.node_count), min_subgraph_warn=0)
+        out.append(partition_graph(g, cfg).parts.assignment)
     return out
+
+
+@functools.cache
+def _default_block_outputs():
+    """The cases and their outputs with the default block on one thread."""
+    cases = list(_block_cases())
+    with graph.worker_threads(1):
+        return cases, [_block_outputs(*case) for case in cases]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_row_blocks_give_the_default_results(monkeypatch, block):
-    cases = list(_block_cases())
-    want = [_block_outputs(g, labels) for g, labels in cases]
-    assert max(int(g.degrees.max(initial=0)) for g, _ in cases) > 64  # the hub row
+    cases, want = _default_block_outputs()
+    assert max(int(g.degrees.max(initial=0)) for g, _, _ in cases) > 64  # the hub row
     monkeypatch.setattr(graph, "_ARC_BLOCK", block)
-    for (g, labels), expected in zip(cases, want):
-        for a, b in zip(_block_outputs(g, labels), expected):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    n = len(cases)
+    for threads in (1, 2, 8):
+        # a block's work does not depend on the thread that runs it, so more
+        # threads need only every third oracle graph, and the last three cases
+        picked = range(n) if threads == 1 else [*range(0, n - 3, 3), n - 3, n - 2, n - 1]
+        with graph.worker_threads(threads):
+            for i in picked:
+                for a, b in zip(_block_outputs(*cases[i]), want[i], strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (threads, i)
+
+
+def test_vote_runs_in_a_forked_child_of_a_threaded_parent(monkeypatch):
+    monkeypatch.setattr(graph, "_ARC_BLOCK", 64)
+    g = generate(GeneratorSpec("random_weighted", (500, 2000, 0.1, 1.0), seed=3))
+    state = LabelState.initial(g)
+    with graph.worker_threads(2):
+        want = vote_update(g, state).labels  # the parent's pool now has a worker
+        pid = os.fork()
+        if pid == 0:  # the child has no worker thread, so it must make its own pool
+            code = 1
+            try:
+                code = 0 if np.array_equal(vote_update(g, state).labels, want) else 1
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("vote_update hung in the forked child")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_vote_and_prune_memory_stays_within_a_few_blocks():

@@ -8,7 +8,7 @@ import pytest
 
 from lppart.coarsen import coarsen
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import IdMap, PartitionMap, from_edges
+from lppart.graph import IdMap, PartitionMap, from_edges, thread_count, worker_threads
 from lppart.kway import InfeasibleError, kway_partition
 from lppart.labelprop import LpParams
 from lppart.metrics import edge_cut, std_dev
@@ -234,7 +234,9 @@ def test_manifest_records_config_and_stages():
     g = _disjoint_cliques(2, 10)
     cfg = PartitionConfig(k=2, lp=LpParams(seed=11))
     result = partition_graph(g, cfg)
-    manifest = manifest_dict(cfg, result, threads=4)
+    assert manifest_dict(cfg, result)["threads"] == thread_count()
+    with worker_threads(4):
+        manifest = manifest_dict(cfg, result)
     text = json.dumps(manifest)
     parsed = json.loads(text)
     assert parsed["config"]["p_ratio"] == 0.5
