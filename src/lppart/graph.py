@@ -14,6 +14,8 @@ import io
 import logging
 import os
 import re
+import signal
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -31,6 +33,10 @@ _MAX_NODES = 2**31
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 # rows the text writers convert to Python scalars at a time
 _ROW_BLOCK = 1 << 16
+# characters from which a table read from a path parses its second half in a forked child
+_FORK_CHARS = 1 << 23
+# id spans up to this many times the id count are numbered through a span-sized table
+_SPAN_PER_ID = 2
 # arcs an arc pass handles at a time (whole rows, so one hub row can exceed it)
 _ARC_BLOCK = 1 << 16
 # threads an arc pass runs on, the calling one included (see ``worker_threads``)
@@ -393,6 +399,8 @@ def _merge_edges(node_count: int, edges: list[np.ndarray],
     freed before the CSR build, whose key, order and target arrays (8 bytes
     per arc each) are the merge's peak.
     """
+    if node_count > _MAX_NODES:
+        raise ValueError(f"node_count {node_count} exceeds supported maximum {_MAX_NODES}")
     src, dst, w = edges
     edges.clear()
     keep = src != dst
@@ -421,8 +429,6 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None,
     """
     if node_count < 0:
         raise ValueError("node_count must be non-negative")
-    if node_count > _MAX_NODES:
-        raise ValueError(f"node_count {node_count} exceeds supported maximum {_MAX_NODES}")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if weight is None:
@@ -540,13 +546,114 @@ def _parse_lines(text: str, ids: tuple[str, ...], values: tuple[str, ...],
     return table[:, :len(ids)].astype(np.int64), table[:, len(ids):].astype(np.float64)
 
 
+def _loadtxt(lines, dtype: list, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` of tab-separated ``lines`` into ``dtype``, or None on any error or warning."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. float-to-int parsing on older numpy
+            return np.loadtxt(lines, dtype=dtype, delimiter="\t", comments="#",
+                              encoding="utf-8", ndmin=1, **kwargs)
+    except (ValueError, Warning):
+        return None
+
+
+def _can_fork() -> bool:
+    """Whether ``_loadtxt_forked`` may fork: more than one thread allowed, and
+    on Python 3.12 and later, which warn on ``fork`` in a threaded process,
+    no other thread running."""
+    if not hasattr(os, "fork") or _threads < 2:
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:  # the threads the warning counts, numpy's own included
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
+def _loadtxt_forked(path: str | Path, text: str, dtype: list) -> np.ndarray | None:
+    """``_loadtxt(path, dtype)``, the file's contents ``text``, on two cores, or
+    None where that cannot be sure to give the same rows or ``text`` is
+    shorter than ``_FORK_CHARS``.
+
+    The head, the lines up to the first newline past the middle of ``text``,
+    is parsed here with ``max_rows`` set to its line count, and the tail in a
+    forked child with ``skiprows`` set to it. ``skiprows`` counts every line
+    but ``max_rows`` only rows of data, so a head holding a blank line is
+    left to the serial parse, and so is any ``#``. The child sends its row
+    count and rows through a pipe into an array that takes the head's rows
+    too, and ends with ``os._exit``; a half that fails to parse, a short
+    read or a non-zero exit status gives None. The child is reaped before
+    this returns, killed first if its rows are not needed.
+    """
+    cut = text.find("\n", len(text) // 2) + 1
+    if len(text) < _FORK_CHARS or not cut or "#" in text or not _can_fork():
+        return None
+    data = np.frombuffer(text[:cut].encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(data == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # a line is blank when empty or a lone "\r" (every "\r" here ends a CRLF)
+    if ((ends == starts) | ((ends == starts + 1) & (data[starts] == 13))).any():
+        return None
+    lines = len(ends)
+    del data, ends, starts
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # e.g. no process or memory left for the child
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            rows = _loadtxt(path, dtype, skiprows=lines)
+            if rows is not None:
+                with os.fdopen(w, "wb") as pipe:
+                    pipe.write(np.int64(len(rows)).tobytes())
+                    pipe.write(rows)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        head = _loadtxt(path, dtype, max_rows=lines)
+        if head is None or len(head) != lines:
+            return None
+        with os.fdopen(r, "rb") as pipe:
+            r = None  # closed with the pipe
+            count = pipe.read(8)
+            if len(count) != 8:
+                return None
+            rows = np.empty(lines + int(np.frombuffer(count, np.int64)[0]), dtype)
+            rows[:lines] = head
+            del head
+            if pipe.readinto(rows[lines:]) != rows[lines:].nbytes:
+                return None
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        return rows if status == 0 else None
+    finally:
+        if r is not None:
+            os.close(r)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _parse_columns(source: str | Path | IO, text: str, ints: int, total: int, required: int):
     """One ``np.loadtxt`` pass over input the line parser would read the same way.
 
     Returns None when the input needs the line parser: a ``#`` that does not
     start a line, a ``\\r`` outside a CRLF pair, a first data line with a
     field count out of range, or anything ``np.loadtxt`` rejects or warns
-    about (ids outside int64 included).
+    about (ids outside int64 included). A path is parsed from the file in
+    ``np.loadtxt``'s own chunks, other sources from ``text``. A path of at
+    least ``_FORK_CHARS`` characters parses its second half in a forked
+    child (``_loadtxt_forked``) when more than one thread is allowed, and
+    falls back to the serial parse wherever that cannot be sure to give the
+    same rows; results never depend on it.
     """
     if "#" in text and text.count("#") != text.count("\n#") + text.startswith("#"):
         return None
@@ -560,15 +667,12 @@ def _parse_columns(source: str | Path | IO, text: str, ints: int, total: int, re
     if ncols > ints:
         dtype.append(("values", np.float64, (ncols - ints,)))
     if isinstance(source, (str, Path)) and not _DATASOURCE_NAMES.search(str(source)):
-        lines = source  # loadtxt reads the file in its own chunks
+        cols = _loadtxt_forked(source, text, dtype)
+        if cols is None:
+            cols = _loadtxt(source, dtype)
     else:
-        lines = io.BytesIO(text.encode("utf-8"))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. float-to-int parsing on older numpy
-            cols = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments="#",
-                              encoding="utf-8", ndmin=1)
-    except (ValueError, Warning):
+        cols = _loadtxt(io.BytesIO(text.encode("utf-8")), dtype)
+    if cols is None:
         return None
     values = cols["values"] if ncols > ints else np.empty((len(cols), 0))
     if ncols < total:
@@ -595,8 +699,20 @@ def _read_table(source: str | Path | IO, text: str, ids: tuple[str, ...],
 def _number_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the ids of an ``(n, 2)`` block densely in first-appearance order, row by row.
 
-    Returns the ids in that order and the indices of both columns.
+    Returns the ids in that order and the indices of both columns. Ids
+    spanning at most ``_SPAN_PER_ID`` times their count are numbered through
+    a table over the span; wider ids through ``np.unique``.
     """
+    lo, hi = int(pairs.min()), int(pairs.max())  # Python ints: the span may exceed int64
+    if hi - lo < _SPAN_PER_ID * pairs.size:
+        # offsets from lo, exact although the int64 arithmetic wraps where lo is near -2**63
+        pos = (pairs - lo).reshape(-1)
+        first = np.full(hi - lo + 1, len(pos))
+        np.minimum.at(first, pos, np.arange(len(pos)))
+        order = np.sort(first[first < len(pos)])  # positions of first appearances
+        rank = first
+        rank[pos[order]] = np.arange(len(order))
+        return pos[order] + lo, rank[pos[0::2]], rank[pos[1::2]]
     ids = pairs.reshape(-1)
     unique, inverse = np.unique(ids, return_inverse=True)
     first = np.full(len(unique), len(ids))
@@ -617,9 +733,12 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
     ``weighted=False`` any weight column is still validated but every edge
     gets weight 1.0. Internal indices are assigned in first-appearance order.
 
-    A well-formed file is parsed by one ``np.loadtxt`` call, anything else
-    by the line parser; a malformed line, or a weight that is not finite and
-    positive, raises a ``GraphFormatError`` naming its line.
+    A well-formed file is parsed by ``np.loadtxt``, a large one from a path
+    on two cores where more than one thread is allowed (``_parse_columns``),
+    anything else by the line parser; a malformed line, or a weight that is
+    not finite and positive, raises a ``GraphFormatError`` naming its line.
+    The rows checked here go to ``_merge_edges`` without ``from_edges``'
+    checks, which they already pass.
     """
     text = _read_text(source)
     pairs, weights = _read_table(source, text, ("node id", "node id"), ("edge weight",),
@@ -636,12 +755,12 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
         raise GraphFormatError("empty input: no edges or nodes found")
     ext_ids, src, dst = _number_ids(pairs)
     del pairs
-    loops = src == dst
-    if loops.any():
-        logger.warning("dropped %d self-loop edge(s) while loading", int(loops.sum()))
-        keep = ~loops
-        src, dst, w = src[keep], dst[keep], w[keep]
-    return from_edges(len(ext_ids), src, dst, w), IdMap(ext_ids)
+    loops = int(np.count_nonzero(src == dst))
+    if loops:
+        logger.warning("dropped %d self-loop edge(s) while loading", loops)
+    edges = [src, dst, w]
+    del src, dst, w  # _merge_edges frees them once keyed
+    return _merge_edges(len(ext_ids), edges), IdMap(ext_ids)
 
 
 def write_edge_list(g: WeightedGraph, dest: str | Path | IO, id_map: IdMap | None = None) -> None:

@@ -84,6 +84,11 @@ def test_cli_chain_outputs_match_golden_hashes(tmp_path):
     assert actual == GOLDEN
 
 
+def test_cli_chain_outputs_match_golden_hashes_on_forked_parse(tmp_path, forked_parse):
+    test_cli_chain_outputs_match_golden_hashes(tmp_path)
+    assert any(rows is not None for rows in forked_parse)
+
+
 def test_fallback_assignments_match_golden_hashes():
     n = 5000
     star = from_edges(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))

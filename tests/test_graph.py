@@ -1,4 +1,5 @@
 import io
+import os
 import sys
 import threading
 import time
@@ -282,6 +283,121 @@ def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
         for src in (path, io.BytesIO(path.read_bytes())):
             assert [a.tolist() for a in read(src)] == [a.tolist() for a in expected], name
         assert calls == [], name
+
+
+def _edge_lines(n=40):
+    return [f"{i}\t{(7 * i) % n}\t{0.5 + i / 64}" for i in range(n)]
+
+
+def _join(lines, newline="\n"):
+    return "".join(line + newline for line in lines)
+
+
+def _with_line(lines, lineno, line):
+    """``lines`` with ``line`` put in at line number ``lineno`` (from 1)."""
+    return lines[:lineno - 1] + [line] + lines[lineno - 1:]
+
+
+# Edge lists, each with what the forked parse does: "rows" where it parses
+# the head and the tail, "failed" where a half fails and the file is parsed
+# again serially, "serial" where it leaves the file to the serial parse
+# without forking. Line 3 lies in the head of each file, line 30 in the tail.
+_FORK_CASES = {
+    "plain": (_join(_edge_lines()), "rows"),
+    "crlf": (_join(_edge_lines(), "\r\n"), "rows"),
+    "no final newline": (_join(_edge_lines())[:-1], "rows"),
+    "two columns": (_join([line.rsplit("\t", 1)[0] for line in _edge_lines()]), "rows"),
+    "blank line in the tail": (_join(_with_line(_edge_lines(), 30, "")), "rows"),
+    "blank crlf line in the tail": (_join(_with_line(_edge_lines(), 30, ""), "\r\n"), "rows"),
+    "blank line in the head": (_join(_with_line(_edge_lines(), 3, "")), "serial"),
+    "blank first line": (_join(_with_line(_edge_lines(), 1, "")), "serial"),
+    "blank crlf line in the head": (_join(_with_line(_edge_lines(), 3, ""), "\r\n"), "serial"),
+    "comment line in the head": (_join(_with_line(_edge_lines(), 3, "# c")), "serial"),
+    "comment line in the tail": (_join(_with_line(_edge_lines(), 30, "# c")), "serial"),
+    "two-column rows only in the tail": (
+        _join(_edge_lines()[:25] + [line.rsplit("\t", 1)[0] for line in _edge_lines()[25:]]),
+        "failed"),
+    "bad field in the head": (_join(_with_line(_edge_lines(), 3, "x\t3\t0.5")), "failed"),
+    "bad field in the tail": (_join(_with_line(_edge_lines(), 30, "x\t3\t0.5")), "failed"),
+    "bad weight in the tail": (_join(_with_line(_edge_lines(), 30, "1\t3\t-1")), "rows"),
+    "id 2**63 in the tail": (_join(_with_line(_edge_lines(), 30, f"{2**63}\t3\t0.5")), "failed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORK_CASES))
+def test_forked_parse_agrees_with_serial_parse(tmp_path, monkeypatch, forked_parse, name):
+    text, want = _FORK_CASES[name]
+    path = tmp_path / "g.tsv"
+    path.write_bytes(text.encode())
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = _loader_outcome(lambda: load_edge_list(path))
+    assert len(forks) == (want != "serial")
+    assert len(forked_parse) == 1
+    assert (forked_parse[0] is not None) == (want == "rows")
+    if want == "rows":
+        assert forked_parse[0].tobytes() == graph._loadtxt(path, forked_parse[0].dtype).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_FORK_CHARS", len(text) + 1)
+        assert _loader_outcome(lambda: load_edge_list(path)) == forked
+    if name.startswith(("bad", "id")):
+        line = 3 if name.endswith("head") else 30
+        assert forked[0] == "GraphFormatError" and forked[1].startswith(f"line {line}:")
+    with pytest.raises(ChildProcessError):  # every child is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_parse_falls_back_on_a_failed_child(tmp_path, monkeypatch, forked_parse):
+    path = tmp_path / "g.tsv"
+    path.write_text(_join(_edge_lines()))
+    want = _loader_outcome(lambda: load_edge_list(path))
+    assert forked_parse.pop() is not None
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(3))  # only the child exits
+    assert _loader_outcome(lambda: load_edge_list(path)) == want
+    assert forked_parse == [None]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_thread_parses_serially(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "_FORK_CHARS", 0)
+    monkeypatch.setattr(os, "fork", None)
+    path = tmp_path / "g.tsv"
+    path.write_text(_join(_edge_lines()))
+    with graph.worker_threads(1):
+        got = _loader_outcome(lambda: load_edge_list(path))
+    monkeypatch.setattr(graph, "_FORK_CHARS", 2**62)
+    assert got == _loader_outcome(lambda: load_edge_list(path))
+
+
+def _first_appearance_numbering(pairs):
+    """Reference for ``_number_ids``: a dict numbers each id when first seen, row by row."""
+    index = {}
+    for i in pairs.reshape(-1).tolist():
+        index.setdefault(i, len(index))
+    return (np.array(list(index), dtype=np.int64),
+            *(np.array([index[i] for i in col.tolist()]) for col in pairs.T))
+
+
+@pytest.mark.parametrize("span_per_id", [graph._SPAN_PER_ID, 0])  # 0: np.unique only
+def test_number_ids_in_first_appearance_order(monkeypatch, span_per_id):
+    monkeypatch.setattr(graph, "_SPAN_PER_ID", span_per_id)
+    rng = np.random.default_rng(6)
+    dense = rng.permutation(np.repeat(np.arange(1000, 1500), 4)).reshape(-1, 2)
+    cases = {
+        "shuffled dense ids": dense,
+        "negative ids": dense - 2000,
+        "ids near -2**63": (dense - 1000) + (-2**63),
+        "ids near 2**63": (dense - 1500) + (2**63 - 1),
+        "one id": np.array([[7, 7]]),
+        "exact int64 ids (wide span)": np.array([[2**53 + 1, 2**63 - 1], [-2**63, 2**53 + 1]]),
+    }
+    for name, pairs in cases.items():
+        got = graph._number_ids(pairs.astype(np.int64))
+        want = _first_appearance_numbering(pairs.astype(np.int64))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], name
 
 
 def test_round_trip_write_then_load():
