@@ -35,7 +35,7 @@ _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 _ROW_BLOCK = 1 << 16
 # characters from which a table read from a path parses its second half in a forked child
 _FORK_CHARS = 1 << 23
-# id spans up to this many times the id count are numbered through a span-sized table
+# id spans up to this many times the ids read (with repeats) are numbered through a span-sized table
 _SPAN_PER_ID = 2
 # arcs an arc pass handles at a time (whole rows, so one hub row can exceed it)
 _ARC_BLOCK = 1 << 16
@@ -700,8 +700,8 @@ def _number_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the ids of an ``(n, 2)`` block densely in first-appearance order, row by row.
 
     Returns the ids in that order and the indices of both columns. Ids
-    spanning at most ``_SPAN_PER_ID`` times their count are numbered through
-    a table over the span; wider ids through ``np.unique``.
+    spanning at most ``_SPAN_PER_ID`` times ``pairs.size`` are numbered
+    through a table over the span; wider ids through ``np.unique``.
     """
     lo, hi = int(pairs.min()), int(pairs.max())  # Python ints: the span may exceed int64
     if hi - lo < _SPAN_PER_ID * pairs.size:
