@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph,
-                          _comment_lines, _csr_from_canonical, _data_lines, _line_of_row,
+                          _comment_lines, _data_lines, _line_of_row, _merge_edges,
                           _read_table, _read_text, _write_table, induced_subgraph)
 
 
@@ -122,8 +122,8 @@ def refine_structure(g: WeightedGraph, fraction: float = 0.05, mode: str = "node
     count = math.ceil(fraction * len(u))
     if count:
         keep = np.sort(np.lexsort((v, u, w))[count:])
-        g = _csr_from_canonical(g.node_count, u[keep], v[keep], w[keep],
-                                node_values=g.node_values)
+        # the kept pairs are unique and in key order, so the merge skips its pair sort
+        g = _merge_edges(g.node_count, [u[keep], v[keep], w[keep]], node_values=g.node_values)
     return g, IdMap.identity(g.node_count)
 
 

@@ -352,36 +352,11 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _csr_from_canonical(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                        node_values: np.ndarray | None = None,
-                        planted_blocks: np.ndarray | None = None) -> WeightedGraph:
-    """Build a graph from unique canonical edges (u < v, no duplicates).
-
-    Both arcs of each edge get the key ``source << b | target`` in one
-    array, the edges' forward arcs first. The keys are unique, so any sort
-    of them gives the CSR order; the sorted keys' low ``b`` bits are the
-    targets, and each arc takes its edge's weight.
-    """
-    m = len(u)
-    bits = max(node_count - 1, 0).bit_length()
-    key = np.empty(2 * m, dtype=np.int64)
-    np.left_shift(u, bits, out=key[:m])
-    key[:m] |= v
-    np.left_shift(v, bits, out=key[m:])
-    key[m:] |= u
-    offsets = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
-              out=offsets[1:])
-    order = _stable_order(key)
-    dst = key[order]
-    del key
-    dst &= (1 << bits) - 1
-    ww = np.take(w, order, mode="wrap")  # position i + m is edge i's backward arc
-    if node_values is None:
-        node_values = np.ones(node_count, dtype=np.int64)
-    else:
-        node_values = np.asarray(node_values, dtype=np.int64)
-    return WeightedGraph(node_count, offsets, dst, ww, node_values, planted_blocks)
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal consecutive keys."""
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
 
 
 def _merge_edges(node_count: int, edges: list[np.ndarray],
@@ -394,10 +369,16 @@ def _merge_edges(node_count: int, edges: list[np.ndarray],
     frees them before the CSR build. Each pair becomes the key ``min *
     node_count + max``. A stable sort of the keys (``_stable_order``) groups
     parallel edges, and each group sums its weights in input order, so the
-    merged float weights depend only on the order of the input. The sorted
-    keys decode back to the canonical pairs; the keys and the sort order are
-    freed before the CSR build, whose key, order and target arrays (8 bytes
-    per arc each) are the merge's peak.
+    merged float weights depend only on the order of the input. Pairs
+    already in key order, as a filtered edge list is, skip the sort.
+
+    The sorted keys decode to the canonical pairs ``u < v``. Both arcs of
+    each pair get the key ``source << b | target`` in one array, forward
+    arcs first; the pairs are freed before these keys are sorted. The keys
+    are unique, so any sort of them gives the CSR order: their low ``b``
+    bits are the targets, and each arc takes its edge's weight. The arc
+    keys, their order and the targets (8 bytes per arc each) are the
+    merge's peak.
     """
     if node_count > _MAX_NODES:
         raise ValueError(f"node_count {node_count} exceeds supported maximum {_MAX_NODES}")
@@ -411,13 +392,51 @@ def _merge_edges(node_count: int, edges: list[np.ndarray],
     if len(key):
         order = _stable_order(key)
         key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        starts = np.flatnonzero(_run_heads(key))
         w = np.add.reduceat(w[order], starts)
         del order
         key = key[starts]
     u, v = np.divmod(key, node_count)
     del key
-    return _csr_from_canonical(node_count, u, v, w, node_values, planted_blocks)
+    m = len(u)
+    bits = max(node_count - 1, 0).bit_length()
+    arcs = np.empty(2 * m, dtype=np.int64)
+    np.left_shift(u, bits, out=arcs[:m])
+    arcs[:m] |= v
+    np.left_shift(v, bits, out=arcs[m:])
+    arcs[m:] |= u
+    offsets = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
+              out=offsets[1:])
+    del u, v
+    order = _stable_order(arcs)
+    dst = arcs[order]
+    del arcs
+    dst &= (1 << bits) - 1
+    w = np.take(w, order, mode="wrap")  # position i + m is edge i's backward arc
+    values = (np.ones(node_count, dtype=np.int64) if node_values is None
+              else np.asarray(node_values, dtype=np.int64))
+    return WeightedGraph(node_count, offsets, dst, w, values, planted_blocks)
+
+
+def _keep_arcs(g: WeightedGraph, rule, index: np.ndarray | None = None) -> WeightedGraph:
+    """The graph of the arcs of ``g`` for which ``rule(src, dst, w)`` holds (``_arc_mask``).
+
+    ``rule`` holds for both arcs of an edge or for neither, so the kept
+    arcs, in their CSR order, already form a graph and nothing is sorted.
+    Without ``index`` the graph keeps every node. Otherwise ``index`` maps
+    each node of ``g`` to its index in the new graph, ascending, or to -1
+    for a node left out, and ``rule`` keeps no arc of a node left out: the
+    kept rows stay sorted once their targets are renumbered.
+    """
+    keep, counts = _arc_mask(g, rule)
+    dst, values = g.neighbor_targets[keep], g.node_values
+    if index is not None:
+        rows = index >= 0
+        counts, values, dst = counts[rows], values[rows], index[dst]
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return WeightedGraph(len(counts), offsets, dst, g.edge_weights[keep], values)
 
 
 def from_edges(node_count: int, src, dst, weight=None, node_values=None,
@@ -788,17 +807,13 @@ def induced_subgraph(g: WeightedGraph, nodes) -> tuple[WeightedGraph, IdMap]:
 
     Returned subgraph indices are the subset in ascending parent order; the
     IdMap translates subgraph indices back to parent indices. Node values are
-    copied from the parent.
+    copied from the parent. Both arcs of every internal edge are kept in the
+    parent's order and renumbered (``_keep_arcs``), so no sort runs.
     """
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise ValueError("node index out of range")
     mark = np.full(g.node_count, -1, dtype=np.int64)
     mark[nodes] = np.arange(len(nodes), dtype=np.int64)
-    keep, counts = _arc_mask(g, lambda src, dst, w: (src < dst) & (mark[src] >= 0)
-                             & (mark[dst] >= 0))
-    # rows outside the subset keep no arc, so their (negative) marks repeat 0 times
-    sub = _csr_from_canonical(len(nodes), np.repeat(mark, counts),
-                              mark[g.neighbor_targets[keep]], g.edge_weights[keep],
-                              node_values=g.node_values[nodes])
+    sub = _keep_arcs(g, lambda src, dst, w: (mark[src] >= 0) & (mark[dst] >= 0), mark)
     return sub, IdMap(nodes)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lppart.coarsen import MODE_NODE, CoarseGraph, coarsen
-from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _map_rows, induced_subgraph
-from lppart.labelprop import _run_heads
+from lppart.graph import (PartitionMap, WeightedGraph, _arc_mask, _map_rows, _run_heads,
+                          induced_subgraph)
 from lppart.seeding import derive_seed, edge_uniform
 
 logger = logging.getLogger(__name__)
@@ -269,27 +269,19 @@ def _best_moves(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray,
     other part with most room. The saving is that connection minus the node's
     weight to its own part; it is ``-inf`` where no other part has room.
     Connections are summed per (node, part) pair present among the arcs of
-    ``nodes``: in a part-by-node table when that is no larger than those
-    arcs, else by grouping the arcs by part. Either way memory is linear in
-    the arcs, whatever the number of parts.
+    ``nodes``, by grouping the arcs by part, so memory is linear in the arcs
+    whatever the number of parts.
     """
     nparts = len(room)
     sel, pos = _node_arcs(g.neighbor_offsets, nodes)
     p = parts[g.neighbor_targets[sel]]
-    key = p * len(nodes) + pos
-    w = g.edge_weights[sel]
-    if len(nodes) * nparts <= len(sel):  # a part-by-node table is no larger than the arcs
-        table = np.bincount(key, weights=w, minlength=nparts * len(nodes))
-        key = np.flatnonzero(table)
-        conn = table[key]
-    else:
-        # arcs come grouped by source and positions ascend with it, so a stable sort
-        # by part sorts the keys
-        order = np.argsort(p.astype(np.min_scalar_type(nparts - 1)), kind="stable")
-        key, w = key[order], w[order]
-        head = np.flatnonzero(_run_heads(key))
-        conn = np.add.reduceat(w, head) if len(head) else np.empty(0)
-        key = key[head]
+    # arcs come grouped by source and positions ascend with it, so a stable sort
+    # by part sorts the keys
+    order = np.argsort(p.astype(np.min_scalar_type(nparts - 1)), kind="stable")
+    key = (p * len(nodes) + pos)[order]
+    head = np.flatnonzero(_run_heads(key))
+    conn = np.add.reduceat(g.edge_weights[sel][order], head) if len(head) else np.empty(0)
+    key = key[head]
     kp, kr = np.divmod(key, len(nodes))
     own = parts[nodes]
     vals = g.node_values[nodes]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _arc_mask, _map_rows, _stable_order
+from lppart.graph import (PartitionMap, WeightedGraph, _keep_arcs, _map_rows, _run_heads,
+                          _stable_order)
 from lppart.seeding import edge_uniform, pair_hash64
 
 
@@ -64,7 +65,7 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     Both arcs of an edge carry the identical weight, so each arc evaluates
     the whole undirected rule from its own two endpoints. The resulting mask
     is symmetric: filtering the (source, target)-sorted arc arrays by it keeps
-    both arcs of every surviving edge, in order, with no re-sort.
+    both arcs of every surviving edge, in order, with no re-sort (``_keep_arcs``).
 
     Both passes run over row blocks (``_map_rows``). Each row's weighted
     degree is a ``bincount`` over its block, which adds the row's weights
@@ -88,18 +89,7 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
             kept |= draws < params.p_bound
         return kept
 
-    keep, counts = _arc_mask(g, rule)
-    offsets = np.zeros(g.node_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return WeightedGraph(g.node_count, offsets, g.neighbor_targets[keep], g.edge_weights[keep],
-                         g.node_values)
-
-
-def _run_heads(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first element of every run of equal consecutive keys."""
-    head = np.ones(len(keys), dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    return head
+    return _keep_arcs(g, rule)
 
 
 def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:

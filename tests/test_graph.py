@@ -465,22 +465,26 @@ def test_induced_subgraph_out_of_range():
 
 
 def test_induced_subgraph_matches_brute_force_count():
+    """Every array of the subgraph equals ``from_edges`` of the surviving edges."""
     rng = np.random.default_rng(11)
-    for trial in range(20):
+    for trial in range(30):
         n = int(rng.integers(4, 64))
         m = int(rng.integers(1, 2 * n))
-        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
-        subset = np.flatnonzero(rng.random(n) < 0.5)
-        if len(subset) == 0:
-            continue
-        sub, _ = induced_subgraph(g, subset)
-        inset = np.zeros(n, dtype=bool)
-        inset[subset] = True
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                       rng.uniform(0.1, 1.0, m), node_values=rng.integers(1, 9, n))
+        subset = [np.arange(0), np.arange(n), np.flatnonzero(rng.random(n) < 0.5)][trial % 3]
+        sub, ids = induced_subgraph(g, subset)
+        assert ids.external_ids.tolist() == subset.tolist()
+        mark = np.full(n, -1)
+        mark[subset] = np.arange(len(subset))
         u, v, w = g.edge_array()
-        survives = inset[u] & inset[v]
-        assert sub.edge_count == int(survives.sum())
-        _, _, sw = sub.edge_array()
-        assert np.sort(sw) == pytest.approx(np.sort(w[survives]), rel=0, abs=0)
+        survives = (mark[u] >= 0) & (mark[v] >= 0)
+        want = from_edges(len(subset), mark[u[survives]], mark[v[survives]], w[survives],
+                          node_values=g.node_values[subset])
+        assert sub.node_count == want.node_count
+        for name in ("neighbor_offsets", "neighbor_targets", "edge_weights", "node_values"):
+            got, exp = getattr(sub, name), getattr(want, name)
+            assert got.dtype == exp.dtype and np.array_equal(got, exp), name
         validate_graph(sub)
 
 

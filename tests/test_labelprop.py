@@ -9,7 +9,7 @@ import pytest
 
 from lppart import graph, kway
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import WeightedGraph, _csr_from_canonical, from_edges, induced_subgraph
+from lppart.graph import WeightedGraph, from_edges, induced_subgraph
 from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
                               plain_lpa, vote_update)
 from lppart.pipeline import PartitionConfig, partition_graph
@@ -45,10 +45,11 @@ def _vote_reference(g, labels, order, plain=False):
     return new
 
 
-# Verbatim copies of the sort-based vote and prune that the segment-max vote
-# and the mask-filter prune replaced; the sweep below requires identical bytes.
+# Copies of the sort-based vote and prune that the segment-max vote and the
+# mask-filter prune replaced (the prune's graph built by ``from_edges``); the
+# sweep below requires identical bytes.
 def _sorted_edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> WeightedGraph:
-    """Pre-rewrite pruning (argsort pair collapse, CSR rebuilt by sorting); oracle only."""
+    """Pre-rewrite pruning (argsort pair collapse, graph rebuilt from edges); oracle only."""
     if g.arc_count == 0:
         return g
     src = g.arc_sources()
@@ -69,7 +70,7 @@ def _sorted_edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -
     eu = u[order][0::2][survive]
     ev = v[order][0::2][survive]
     ew = w[order][0::2][survive]
-    return _csr_from_canonical(g.node_count, eu, ev, ew, node_values=g.node_values)
+    return from_edges(g.node_count, eu, ev, ew, node_values=g.node_values)
 
 
 def _sorted_vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:
