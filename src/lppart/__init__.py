@@ -12,8 +12,8 @@ from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_l
 from lppart.coarsen import CoarseGraph, coarsen, write_coarse_graph
 from lppart.kway import (BisectConfig, InfeasibleError, cut_weight, heavy_edge_clustering,
                          kway_partition)
-from lppart.pipeline import (PartitionConfig, PipelineResult, export_coarse, partition_graph,
-                             read_partition_file, sample_subgraphs, write_partition_file)
+from lppart.pipeline import (PartitionConfig, PipelineResult, partition_graph, read_partition_file,
+                             sample_subgraphs, write_partition_file)
 from lppart.augment import (FeatureTable, PagerankParams, aggregate_features, concat_global,
                             lowest_pagerank_nodes, pagerank, refine_structure)
 from lppart.metrics import (PartitionReport, SpectralCheckReport, balance, build_report,
@@ -28,7 +28,7 @@ __all__ = [
     "vote_update",
     "CoarseGraph", "coarsen", "write_coarse_graph",
     "BisectConfig", "InfeasibleError", "cut_weight", "heavy_edge_clustering", "kway_partition",
-    "PartitionConfig", "PipelineResult", "export_coarse", "partition_graph",
+    "PartitionConfig", "PipelineResult", "partition_graph",
     "read_partition_file", "sample_subgraphs", "write_partition_file",
     "FeatureTable", "PagerankParams", "aggregate_features", "concat_global",
     "lowest_pagerank_nodes", "pagerank", "refine_structure",

@@ -21,17 +21,18 @@ from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph,
                           _read_table, _read_text, _write_table, induced_subgraph)
 
 
+# PageRank stops once a round moves the scores by less than this in L1, or after _PAGERANK_ROUNDS
+_PAGERANK_TOL = 1e-10
+_PAGERANK_ROUNDS = 200
+
+
 @dataclass(frozen=True)
 class PagerankParams:
     alpha: float = 0.85
-    tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
 
 
 @dataclass
@@ -59,7 +60,8 @@ def pagerank(g: WeightedGraph, params: PagerankParams = PagerankParams()) -> np.
     """Power-iteration PageRank with uniform teleport; scores sum to 1.
 
     Mass on isolated nodes is redistributed uniformly. Iteration stops once
-    the L1 residual drops below ``tol`` or after ``max_iter`` rounds.
+    the L1 residual drops below ``_PAGERANK_TOL`` or after
+    ``_PAGERANK_ROUNDS`` rounds.
     """
     n = g.node_count
     if n == 0:
@@ -70,13 +72,11 @@ def pagerank(g: WeightedGraph, params: PagerankParams = PagerankParams()) -> np.
     dangling = deg == 0
     alpha = params.alpha
     pr = np.full(n, 1.0 / n)
-    for _ in range(params.max_iter):
-        share = np.zeros(n)
-        if g.arc_count:
-            share = np.bincount(dst, weights=pr[src] / deg[src], minlength=n)
+    for _ in range(_PAGERANK_ROUNDS):
+        share = np.bincount(dst, weights=pr[src] / deg[src], minlength=n)
         loose = pr[dangling].sum()
         nxt = (1.0 - alpha) / n + alpha * (share + loose / n)
-        if np.abs(nxt - pr).sum() < params.tol:
+        if np.abs(nxt - pr).sum() < _PAGERANK_TOL:
             pr = nxt
             break
         pr = nxt

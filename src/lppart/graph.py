@@ -142,9 +142,10 @@ class WeightedGraph:
         return u, self.neighbor_targets[keep], self.edge_weights[keep]
 
     def with_node_values(self, values: np.ndarray) -> "WeightedGraph":
-        """Same topology with replaced per-node values."""
+        """Same topology and planted blocks with replaced per-node values."""
         return WeightedGraph(self.node_count, self.neighbor_offsets, self.neighbor_targets,
-                             self.edge_weights, _checked_values(values, self.node_count))
+                             self.edge_weights, _checked_values(values, self.node_count),
+                             self.planted_blocks)
 
 
 def thread_count() -> int:
@@ -718,28 +719,24 @@ def _read_table(source: str | Path | IO, text: str, ids: tuple[str, ...],
 def _number_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the ids of an ``(n, 2)`` block densely in first-appearance order, row by row.
 
-    Returns the ids in that order and the indices of both columns. Ids
-    spanning at most ``_SPAN_PER_ID`` times ``pairs.size`` are numbered
-    through a table over the span; wider ids through ``np.unique``.
+    Returns the ids in that order and the indices of both columns. Each id
+    gets a dense key: its offset from the smallest id where the ids span at
+    most ``_SPAN_PER_ID`` times ``pairs.size``, else its ``np.unique`` index.
+    One table over the keys holds each key's first position, then its rank.
     """
     lo, hi = int(pairs.min()), int(pairs.max())  # Python ints: the span may exceed int64
     if hi - lo < _SPAN_PER_ID * pairs.size:
         # offsets from lo, exact although the int64 arithmetic wraps where lo is near -2**63
-        pos = (pairs - lo).reshape(-1)
-        first = np.full(hi - lo + 1, len(pos))
-        np.minimum.at(first, pos, np.arange(len(pos)))
-        order = np.sort(first[first < len(pos)])  # positions of first appearances
-        rank = first
-        rank[pos[order]] = np.arange(len(order))
-        return pos[order] + lo, rank[pos[0::2]], rank[pos[1::2]]
-    ids = pairs.reshape(-1)
-    unique, inverse = np.unique(ids, return_inverse=True)
-    first = np.full(len(unique), len(ids))
-    np.minimum.at(first, inverse, np.arange(len(ids)))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return unique[order], rank[inverse[0::2]], rank[inverse[1::2]]
+        key, keys = (pairs - lo).reshape(-1), hi - lo + 1
+    else:
+        unique, key = np.unique(pairs.reshape(-1), return_inverse=True)
+        keys = len(unique)
+    first = np.full(keys, len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    firsts = np.sort(first[first < len(key)])  # positions of first appearances
+    rank = first
+    rank[key[firsts]] = np.arange(len(firsts))
+    return pairs.flat[firsts], rank[key[0::2]], rank[key[1::2]]
 
 
 def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[WeightedGraph, IdMap]:

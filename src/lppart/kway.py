@@ -83,7 +83,7 @@ def _pointers(g: WeightedGraph, seed: int, max_mass: float) -> tuple[np.ndarray,
         head = _run_heads(src)
         best = np.maximum.reduceat(rating, np.flatnonzero(head))
         top = np.flatnonzero(rating == best[np.cumsum(head) - 1])
-        h = edge_uniform(seed, 0, np.minimum(src[top], dst[top]), np.maximum(src[top], dst[top]))
+        h = edge_uniform(seed, 0, src[top], dst[top])
         head = _run_heads(src[top])
         top = top[h == np.maximum.reduceat(h, np.flatnonzero(head))[np.cumsum(head) - 1]]
         chosen = top[_run_heads(src[top]) & (rating[top] > -np.inf)]  # rows ascend by target
@@ -109,10 +109,10 @@ def heavy_edge_clustering(g: WeightedGraph, seed: int, max_mass: float = math.in
     No cluster weighs more than ``max_mass`` unless it is a single node.
     Every node points to the neighbour it could join within ``max_mass``
     with the highest rating ``w(u, v) / (value(u) * value(v))``; ties go to
-    the larger ``edge_uniform(seed, 0, min(u, v), max(u, v))``, then to the
-    smaller neighbour. Of two nodes pointing at each other, the smaller is a
-    root, and the nodes at depths 0, 3, 6, ... of each pointer tree head its
-    clusters. A cluster above ``max_mass`` keeps its nodes depth by depth,
+    the larger ``edge_uniform(seed, 0, u, v)``, one draw per edge, then to
+    the smaller neighbour. Of two nodes pointing at each other, the smaller
+    is a root, and the nodes at depths 0, 3, 6, ... of each pointer tree head
+    its clusters. A cluster above ``max_mass`` keeps its nodes depth by depth,
     best rated first, while their mass fits; the rest become singletons.
     Nodes without an edge are packed in index order up to ``max_mass`` (as
     in KaMinPar, Gottesbüren et al., ESA 2021). Clusters are numbered in

@@ -84,9 +84,7 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     def rule(src, dst, w):
         kept = ((w / wdeg[src]) >= params.p_ratio) | ((w / wdeg[dst]) >= params.p_ratio)
         if params.p_bound > 0.0:
-            draws = edge_uniform(params.seed, iteration, np.minimum(src, dst),
-                                 np.maximum(src, dst))
-            kept |= draws < params.p_bound
+            kept |= edge_uniform(params.seed, iteration, src, dst) < params.p_bound
         return kept
 
     return _keep_arcs(g, rule)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,14 +32,7 @@ class PartitionReport:
     wall_times_ms: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "edge_cut_ratio": self.edge_cut_ratio,
-            "bal": self.bal,
-            "std": self.std,
-            "per_part_nodes": self.per_part_nodes,
-            "per_part_intra_edges": self.per_part_intra_edges,
-            "wall_times_ms": self.wall_times_ms,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _cross_mask(g: WeightedGraph, parts: PartitionMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

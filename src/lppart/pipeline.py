@@ -1,4 +1,4 @@
-"""End-to-end partitioning pipeline plus subgraph sampling and coarse export.
+"""End-to-end partitioning pipeline plus subgraph sampling, the partition file and the manifest.
 
 The pipeline alternates label propagation with edge-mode coarsening for up to
 ``outer_t + 1`` levels, carrying each coarse node's original-graph mass. It
@@ -22,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from lppart.coarsen import CoarseGraph, MODE_EDGE, MODE_NODE, coarsen
+from lppart.coarsen import CoarseGraph, MODE_EDGE, coarsen
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, _line_of_row,
                           _read_table, _read_text, _write_table, thread_count)
 from lppart.kway import BisectConfig, InfeasibleError, kway_partition, per_part_cap
@@ -140,11 +140,6 @@ def sample_subgraphs(parts: PartitionMap, ratio: float, seed: int) -> np.ndarray
     size = math.ceil(ratio * k)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(k, size=size, replace=False))
-
-
-def export_coarse(g: WeightedGraph, parts: PartitionMap) -> CoarseGraph:
-    """Node-mode coarse graph of ``parts`` over ``g`` for downstream embedding."""
-    return coarsen(parts, MODE_NODE, g)
 
 
 def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | IO) -> None:

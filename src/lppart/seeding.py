@@ -48,10 +48,13 @@ def pair_hash64(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def edge_uniform(seed: int, iteration: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One uniform [0, 1) variate per (min-endpoint, max-endpoint) pair.
+    """One uniform [0, 1) variate per unordered endpoint pair.
 
-    The value depends only on (seed, iteration, u, v), never on array order.
+    The value depends only on (seed, iteration) and the pair ``(min(u, v),
+    max(u, v))``, so ``(u, v)`` and ``(v, u)`` draw the same value; it never
+    depends on array order.
     """
+    u, v = np.minimum(u, v), np.maximum(u, v)
     s = np.uint64(_mix64((int(seed) & _MASK64) ^ _mix64(int(iteration) + 0x51ED)))
     c1 = np.uint64(_C1)
     c2 = np.uint64(_C2)

@@ -64,6 +64,7 @@ def test_pagerank_handles_isolated_nodes():
     scores = pagerank(g)
     assert scores.sum() == pytest.approx(1.0, abs=1e-9)
     assert scores[2] == pytest.approx(scores[3])
+    assert pagerank(from_edges(3, [], [])) == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
 
 
 def test_pagerank_rejects_empty_graph_and_bad_params():

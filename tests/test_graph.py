@@ -531,6 +531,11 @@ def test_with_node_values_validation():
         g.with_node_values([1, 0, 1])
 
 
+def test_with_node_values_keeps_planted_blocks():
+    g = from_edges(3, [0, 1], [1, 2], planted_blocks=np.array([0, 0, 1]))
+    assert g.with_node_values([2, 3, 4]).planted_blocks.tolist() == [0, 0, 1]
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError, match="out of range"):
         from_edges(2, [0], [5])

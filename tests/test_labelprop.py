@@ -306,6 +306,7 @@ def test_edge_uniform_is_deterministic_and_well_spread():
     a = edge_uniform(7, 0, u, v)
     b = edge_uniform(7, 0, u, v)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, edge_uniform(7, 0, v, u))  # one value per unordered pair
     assert a.min() >= 0.0 and a.max() < 1.0
     assert abs(a.mean() - 0.5) < 0.01
     assert not np.array_equal(a, edge_uniform(7, 1, u, v))

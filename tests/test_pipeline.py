@@ -6,14 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from lppart.coarsen import coarsen
+from lppart.coarsen import MODE_NODE, coarsen
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import IdMap, PartitionMap, from_edges, thread_count, worker_threads
 from lppart.kway import InfeasibleError, kway_partition
 from lppart.labelprop import LpParams
 from lppart.metrics import edge_cut, std_dev
-from lppart.pipeline import (PartitionConfig, export_coarse, manifest_dict, partition_graph,
-                             read_partition_file, sample_subgraphs, write_partition_file)
+from lppart.pipeline import (PartitionConfig, manifest_dict, partition_graph, read_partition_file,
+                             sample_subgraphs, write_partition_file)
 
 
 def _disjoint_cliques(count, size):
@@ -192,10 +192,10 @@ def test_sample_subgraphs_contract():
         sample_subgraphs(parts, 1.2, seed=1)
 
 
-def test_export_coarse_sums_cross_edges_and_conserves_mass():
+def test_node_mode_coarsen_sums_cross_edges_and_conserves_mass():
     g = from_edges(4, [0, 1, 0, 2], [1, 2, 2, 3], [1.0, 0.3, 0.4, 1.0])
     parts = PartitionMap(np.array([0, 0, 1, 1]), 2)
-    cg = export_coarse(g, parts)
+    cg = coarsen(parts, MODE_NODE, g)
     _, _, w = cg.graph.edge_array()
     assert w.tolist() == [pytest.approx(0.7)]
     rng = np.random.default_rng(23)
@@ -206,7 +206,7 @@ def test_export_coarse_sums_cross_edges_and_conserves_mass():
                         rng.uniform(0.1, 2.0, m))
         k = int(rng.integers(1, 5))
         pm = PartitionMap(rng.integers(0, k, n), k)
-        out = export_coarse(rg, pm)
+        out = coarsen(pm, MODE_NODE, rg)
         total = out.graph.total_edge_weight() + out.self_loop_weight.sum()
         assert total == pytest.approx(rg.total_edge_weight(), rel=1e-9)
 
