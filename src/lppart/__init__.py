@@ -7,8 +7,8 @@ from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, 
                           induced_subgraph, load_edge_list, read_node_set, thread_count,
                           validate_graph, worker_threads, write_edge_list, write_node_set)
 from lppart.generate import GeneratorSpec, generate
-from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
-                              plain_lpa, vote_update)
+from lppart.labelprop import (LpParams, edge_retention, multilevel_label_prop, plain_lpa,
+                              vote_update)
 from lppart.coarsen import CoarseGraph, coarsen, write_coarse_graph
 from lppart.kway import (BisectConfig, InfeasibleError, cut_weight, heavy_edge_clustering,
                          kway_partition)
@@ -24,8 +24,7 @@ __all__ = [
     "induced_subgraph", "load_edge_list", "read_node_set", "thread_count", "validate_graph",
     "worker_threads", "write_edge_list", "write_node_set",
     "GeneratorSpec", "generate",
-    "LabelState", "LpParams", "edge_retention", "multilevel_label_prop", "plain_lpa",
-    "vote_update",
+    "LpParams", "edge_retention", "multilevel_label_prop", "plain_lpa", "vote_update",
     "CoarseGraph", "coarsen", "write_coarse_graph",
     "BisectConfig", "InfeasibleError", "cut_weight", "heavy_edge_clustering", "kway_partition",
     "PartitionConfig", "PipelineResult", "partition_graph",

@@ -11,22 +11,18 @@ import logging
 import sys
 import time
 
-import numpy as np
-
 from lppart import __version__
 from lppart.augment import (PagerankParams, aggregate_features, concat_global, pagerank,
                             read_feature_table, refine_structure, write_feature_table)
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _read_table, _read_text,
-                          _write_table, load_edge_list, thread_count, worker_threads,
-                          write_edge_list)
+from lppart.graph import (GraphFormatError, IdMap, _write_table, load_edge_list, thread_count,
+                          worker_threads, write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
-from lppart.pipeline import (_PARTITION_COLUMNS, PartitionConfig, partition_graph,
-                             read_partition_file, sample_subgraphs, write_manifest,
-                             write_partition_file)
+from lppart.pipeline import (PartitionConfig, _read_parts, partition_graph, read_partition_file,
+                             sample_subgraphs, write_manifest, write_partition_file)
 
 logger = logging.getLogger("lppart.cli")
 
@@ -190,12 +186,8 @@ def _cmd_pagerank(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rows, _ = _read_table(args.parts, _read_text(args.parts), _PARTITION_COLUMNS)
-    if not len(rows):
-        raise GraphFormatError("empty partition file")
-    _, last = np.unique(rows[::-1, 0], return_index=True)  # a repeated id keeps its last part
-    assign = rows[::-1, 1][last]
-    for pid in sample_subgraphs(PartitionMap(assign, int(assign.max()) + 1), args.ratio, args.seed):
+    _, parts = _read_parts(args.parts)
+    for pid in sample_subgraphs(parts, args.ratio, args.seed):
         print(int(pid))
     return 0
 

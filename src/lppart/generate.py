@@ -25,7 +25,8 @@ class GeneratorSpec:
 
     Models: ``planted_partition(blocks, block_size, p_in, p_out)``,
     ``complete_bipartite(n_left, n_right)``, ``ring(n)``,
-    ``random_weighted(n, m, weight_low, weight_high)``.
+    ``random_weighted(n, m, weight_low, weight_high)``. In a planted
+    partition the block of node ``i`` is ``i // block_size``.
     """
 
     model: str
@@ -92,8 +93,7 @@ def _planted_partition(blocks: int, block_size: int, p_in: float, p_out: float,
 
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    planted = np.repeat(np.arange(blocks, dtype=np.int64), block_size)
-    return from_edges(n, u, v, planted_blocks=planted)
+    return from_edges(n, u, v)
 
 
 def _complete_bipartite(n_left: int, n_right: int) -> WeightedGraph:

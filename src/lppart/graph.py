@@ -78,15 +78,6 @@ class IdMap:
         pos = np.minimum(np.searchsorted(self._sorted, external), len(self._sorted) - 1)
         return np.where(self._sorted[pos] == external, self._order[pos], -1)
 
-    def to_internal(self, external: int) -> int:
-        index = int(self.lookup([external])[0])
-        if index < 0:
-            raise KeyError(f"unknown external id {external}")
-        return index
-
-    def to_external(self, index: int) -> int:
-        return int(self.external_ids[index])
-
     @classmethod
     def identity(cls, node_count: int) -> "IdMap":
         return cls(np.arange(node_count, dtype=np.int64))
@@ -107,8 +98,6 @@ class WeightedGraph:
     neighbor_targets: np.ndarray
     edge_weights: np.ndarray
     node_values: np.ndarray
-    # ground-truth block of each node, set only by the planted-partition generator
-    planted_blocks: np.ndarray | None = None
 
     @property
     def arc_count(self) -> int:
@@ -142,10 +131,9 @@ class WeightedGraph:
         return u, self.neighbor_targets[keep], self.edge_weights[keep]
 
     def with_node_values(self, values: np.ndarray) -> "WeightedGraph":
-        """Same topology and planted blocks with replaced per-node values."""
+        """A graph sharing this one's arc arrays, with ``values`` as its node values."""
         return WeightedGraph(self.node_count, self.neighbor_offsets, self.neighbor_targets,
-                             self.edge_weights, _checked_values(values, self.node_count),
-                             self.planted_blocks)
+                             self.edge_weights, _checked_values(values, self.node_count))
 
 
 def thread_count() -> int:
@@ -361,8 +349,7 @@ def _run_heads(keys: np.ndarray) -> np.ndarray:
 
 
 def _merge_edges(node_count: int, edges: list[np.ndarray],
-                 node_values: np.ndarray | None = None,
-                 planted_blocks: np.ndarray | None = None) -> WeightedGraph:
+                 node_values: np.ndarray | None = None) -> WeightedGraph:
     """Build a graph from index pairs: self-loops are dropped, parallel edges summed.
 
     ``edges`` is a list ``[src, dst, w]``, emptied here once its pairs are
@@ -417,7 +404,7 @@ def _merge_edges(node_count: int, edges: list[np.ndarray],
     w = np.take(w, order, mode="wrap")  # position i + m is edge i's backward arc
     values = (np.ones(node_count, dtype=np.int64) if node_values is None
               else np.asarray(node_values, dtype=np.int64))
-    return WeightedGraph(node_count, offsets, dst, w, values, planted_blocks)
+    return WeightedGraph(node_count, offsets, dst, w, values)
 
 
 def _keep_arcs(g: WeightedGraph, rule, index: np.ndarray | None = None) -> WeightedGraph:
@@ -440,8 +427,7 @@ def _keep_arcs(g: WeightedGraph, rule, index: np.ndarray | None = None) -> Weigh
     return WeightedGraph(len(counts), offsets, dst, g.edge_weights[keep], values)
 
 
-def from_edges(node_count: int, src, dst, weight=None, node_values=None,
-               planted_blocks=None) -> WeightedGraph:
+def from_edges(node_count: int, src, dst, weight=None, node_values=None) -> WeightedGraph:
     """Build a graph from raw edge arrays.
 
     Edges may appear in any direction and any number of times; duplicates are
@@ -464,9 +450,7 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None,
             raise ValueError("edge weights must be finite and positive")
     if node_values is not None:
         node_values = _checked_values(node_values, node_count)
-    if planted_blocks is not None and np.shape(planted_blocks) != (node_count,):
-        raise ValueError("planted block array has wrong length")
-    return _merge_edges(node_count, [src, dst, weight], node_values, planted_blocks)
+    return _merge_edges(node_count, [src, dst, weight], node_values)
 
 
 def validate_graph(g: WeightedGraph) -> None:

@@ -41,18 +41,6 @@ class LpParams:
             raise ValueError("t_iterations must be >= 1")
 
 
-@dataclass
-class LabelState:
-    """Per-node community label at some propagation round."""
-
-    labels: np.ndarray
-    iteration: int = 0
-
-    @classmethod
-    def initial(cls, g: WeightedGraph) -> "LabelState":
-        return cls(np.arange(g.node_count, dtype=np.int64), 0)
-
-
 def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> WeightedGraph:
     """Return a copy of ``g`` with low-relative-weight edges deleted.
 
@@ -90,8 +78,8 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     return _keep_arcs(g, rule)
 
 
-def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:
-    """One synchronous voting round; returns a new state.
+def vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np.ndarray:
+    """One synchronous voting round; returns the new labels in a new int64 array.
 
     Each neighbor m of node i contributes ``w_im / value(m)`` to the score of
     m's previous-round label; i adopts the top-scoring label. Exact ties keep
@@ -122,12 +110,12 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
     initialization, which is exactly the failure the pruning rounds exist to
     avoid.
     """
-    labels = np.asarray(state.labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
         raise ValueError("label array does not match graph")
     new_labels = labels.copy()
     if g.arc_count == 0:
-        return LabelState(new_labels, state.iteration + 1)
+        return new_labels
 
     ranks = labels  # keys pack labels in [0, node_count), or else the labels' ranks
     if labels.min() < 0 or labels.max() >= g.node_count:
@@ -170,42 +158,31 @@ def vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> Lab
         new_labels[g_src[winners]] = g_lab[winners]
 
     _map_rows(g, vote)
-    return LabelState(new_labels, state.iteration + 1)
+    return new_labels
 
 
 def plain_lpa(g: WeightedGraph, labels: np.ndarray, rounds: int) -> list[np.ndarray]:
     """Run plain synchronous frequency voting; returns labels after each round."""
-    state = LabelState(np.asarray(labels, dtype=np.int64).copy(), 0)
     history = []
     for _ in range(rounds):
-        state = vote_update(g, state, plain=True)
-        history.append(state.labels.copy())
+        labels = vote_update(g, labels, plain=True)
+        history.append(labels)
     return history
 
 
-def multilevel_label_prop(g: WeightedGraph, params: LpParams,
-                          return_history: bool = False):
+def multilevel_label_prop(g: WeightedGraph, params: LpParams) -> PartitionMap:
     """Run ``t_iterations + 1`` rounds of {vote, prune} and group nodes by label.
 
     Labels start as node indices. Pruning applies to a working copy only;
     the caller's graph is never modified. The result is a PartitionMap with
     labels compacted to ``[0, M)``.
-
-    With ``return_history=True`` also returns the label vector recorded after
-    every voting round.
     """
-    state = LabelState.initial(g)
+    labels = np.arange(g.node_count, dtype=np.int64)
     work = g
-    history: list[np.ndarray] = []
     rounds = params.t_iterations + 1
     for it in range(rounds):
-        state = vote_update(work, state)
-        if return_history:
-            history.append(state.labels.copy())
+        labels = vote_update(work, labels)
         if it + 1 < rounds:  # the last round's pruning would never be observed
             work = edge_retention(work, params, it)
-    uniq, inverse = np.unique(state.labels, return_inverse=True)
-    parts = PartitionMap(inverse.astype(np.int64), len(uniq))
-    if return_history:
-        return parts, history
-    return parts
+    uniq, inverse = np.unique(labels, return_inverse=True)
+    return PartitionMap(inverse.astype(np.int64), len(uniq))

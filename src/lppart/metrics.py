@@ -20,6 +20,10 @@ from lppart.graph import PartitionMap, WeightedGraph
 logger = logging.getLogger(__name__)
 
 _DENSE_LIMIT = 2048
+# the spectral-norm power iteration stops once the estimate moves by at most _POWER_TOL
+# (relative to the estimate, or absolute below 1), or after _POWER_ITERS rounds
+_POWER_TOL = 1e-12
+_POWER_ITERS = 500
 
 
 @dataclass
@@ -72,8 +76,8 @@ def std_dev(parts: PartitionMap, k: int) -> float:
     return float(np.sqrt(np.square(counts - mu).sum() / (k - 1)))
 
 
-def build_report(g: WeightedGraph, parts: PartitionMap, k: int,
-                 wall_times_ms: dict[str, float] | None = None) -> PartitionReport:
+def build_report(g: WeightedGraph, parts: PartitionMap, k: int) -> PartitionReport:
+    """Quality of ``parts`` on ``g``; ``wall_times_ms`` starts empty for the caller to fill."""
     nodes = np.bincount(parts.assignment, minlength=k)
     intra = intra_edge_counts(g, parts, k)
     bal = balance(g, parts, k) if g.edge_count else 0.0
@@ -84,7 +88,6 @@ def build_report(g: WeightedGraph, parts: PartitionMap, k: int,
         std=std,
         per_part_nodes=[int(x) for x in nodes],
         per_part_intra_edges=[int(x) for x in intra],
-        wall_times_ms=dict(wall_times_ms or {}),
     )
 
 
@@ -95,8 +98,7 @@ def _dense_adjacency(g: WeightedGraph) -> np.ndarray:
     return a
 
 
-def estimate_spectral_norm(a: np.ndarray, seed: int = 0, iters: int = 500,
-                           tol: float = 1e-12) -> float:
+def estimate_spectral_norm(a: np.ndarray, seed: int = 0) -> float:
     """Power-iteration estimate of the spectral norm of a symmetric matrix."""
     n = a.shape[0]
     if n == 0:
@@ -105,13 +107,13 @@ def estimate_spectral_norm(a: np.ndarray, seed: int = 0, iters: int = 500,
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = a @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - est) <= tol * max(1.0, norm):
+        if abs(norm - est) <= _POWER_TOL * max(1.0, norm):
             return norm
         est = norm
     return est

@@ -31,8 +31,6 @@ from lppart.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
-_PARTITION_COLUMNS = ("node id", "part id")
-
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -149,20 +147,37 @@ def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | 
 
 def read_partition_file(source: str | Path | IO, id_map: IdMap) -> PartitionMap:
     """Read a partition file; every graph node must be assigned."""
-    text = _read_text(source)
-    rows, _ = _read_table(source, text, _PARTITION_COLUMNS)
-    index = id_map.lookup(rows[:, 0])
-    unknown = np.flatnonzero(index < 0)
-    if len(unknown):
-        raise GraphFormatError(f"line {_line_of_row(text, unknown[0])}: "
-                               f"unknown node id {rows[unknown[0], 0]}")
-    # a repeated id keeps its last part
-    assigned, last = np.unique(index[::-1], return_index=True)
+    assigned, parts = _read_parts(source, id_map)
     if len(assigned) < len(id_map):
         missing = len(id_map) - len(assigned)
         raise GraphFormatError(f"partition file is not total: {missing} node(s) unassigned")
+    return parts
+
+
+def _read_parts(source: str | Path | IO,
+                id_map: IdMap | None = None) -> tuple[np.ndarray, PartitionMap]:
+    """The distinct nodes of a partition file, ascending, and the map of their parts.
+
+    A node is its id, or with ``id_map`` its index there, and then an unknown
+    id is an error. A repeated id keeps its last part. Raises a
+    ``GraphFormatError`` for an empty file, and for an unknown node id or a
+    negative part id naming the first such line.
+    """
+    text = _read_text(source)
+    rows, _ = _read_table(source, text, ("node id", "part id"))
+    if not len(rows):
+        raise GraphFormatError("empty partition file")
+    nodes = rows[:, 0] if id_map is None else id_map.lookup(rows[:, 0])
+    unknown = np.zeros(len(rows), dtype=bool) if id_map is None else nodes < 0
+    bad = np.flatnonzero(unknown | (rows[:, 1] < 0))
+    if len(bad):
+        row = bad[0]
+        what = (f"unknown node id {rows[row, 0]}" if unknown[row]
+                else f"negative part id {rows[row, 1]}")
+        raise GraphFormatError(f"line {_line_of_row(text, row)}: {what}")
+    distinct, last = np.unique(nodes[::-1], return_index=True)
     assign = rows[::-1, 1][last]
-    return PartitionMap(assign, int(assign.max()) + 1)
+    return distinct, PartitionMap(assign, int(assign.max()) + 1)
 
 
 def manifest_dict(cfg: PartitionConfig, result: PipelineResult) -> dict:

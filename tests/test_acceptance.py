@@ -16,7 +16,7 @@ from lppart.coarsen import CoarseGraph, coarsen
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import PartitionMap, from_edges
 from lppart.kway import BisectConfig, cut_weight, kway_partition
-from lppart.labelprop import LabelState, LpParams, multilevel_label_prop, plain_lpa, vote_update
+from lppart.labelprop import LpParams, multilevel_label_prop, plain_lpa, vote_update
 from lppart.metrics import balance, edge_cut, spectral_submatrix_check, std_dev
 from lppart.pipeline import PartitionConfig, partition_graph, sample_subgraphs
 from lppart.seeding import derive_seed
@@ -37,8 +37,8 @@ def test_criterion_1_worked_example_fidelity():
     try:
         # weighted vote: 0.026 for one label beats 0.01 + 0.003 for the other
         g = from_edges(4, [0, 0, 0], [1, 2, 3], [0.026, 0.01, 0.003])
-        out = vote_update(g, LabelState(np.array([0, 50, 60, 60])))
-        assert out.labels[0] == 50
+        out = vote_update(g, np.array([0, 50, 60, 60]))
+        assert out[0] == 50
 
         # contraction example: group values 5,5,4,7,5 vs 3,2; cross edges 0.3 + 0.4
         gg = from_edges(7, [0, 1, 2, 3, 0, 1, 5], [1, 2, 3, 4, 5, 6, 6],
@@ -173,7 +173,7 @@ def test_criterion_4_pipeline_correctness():
 
         g = generate(GeneratorSpec("planted_partition", (8, 500, 0.05, 0.001), seed=42))
         u, v, _ = g.edge_array()
-        planted_cross = float(np.mean(g.planted_blocks[u] != g.planted_blocks[v]))
+        planted_cross = float(np.mean(u // 500 != v // 500))
         # unit-weight benchmark: every edge ties under relative-weight pruning,
         # so random pruning is disabled for this graph family (p_bound = 1)
         cfg = PartitionConfig(k=8, lp=LpParams(p_bound=1.0, seed=42))

@@ -306,3 +306,23 @@ def test_metrics_names_the_line_of_an_unknown_node_id(tmp_path, capsys):
     assert run(["metrics", "--input", str(graph), "--parts", str(parts),
                 "--json", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == "error: line 3: unknown node id 5\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+def test_negative_part_id_names_the_line(tmp_path, capsys, command):
+    graph = tmp_path / "g.tsv"
+    parts = tmp_path / "p.tsv"
+    graph.write_text("0\t1\t1.0\n1\t2\t1.0\n")
+    parts.write_text("0\t0\n1\t-1\n2\t1\n")
+    argv = {"sample": ["sample", "--parts", str(parts)],
+            "metrics": ["metrics", "--input", str(graph), "--parts", str(parts),
+                        "--json", str(tmp_path / "r.json")]}[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: line 2: negative part id -1\n"
+
+
+def test_sample_rejects_an_empty_partition_file(tmp_path, capsys):
+    parts = tmp_path / "p.tsv"
+    parts.write_text("# no rows\n")
+    assert run(["sample", "--parts", str(parts)]) == 1
+    assert capsys.readouterr().err == "error: empty partition file\n"

@@ -27,14 +27,14 @@ def test_load_unweighted_pair_of_edges():
     assert g.node_count == 3
     assert g.edge_count == 2
     assert np.all(g.edge_weights == 1.0)
-    assert [id_map.to_external(i) for i in range(3)] == [1, 2, 3]
+    assert id_map.external_ids.tolist() == [1, 2, 3]
 
 
 def test_load_drops_self_loop_but_keeps_node():
     g, id_map = _load("7\t7\t0.5\n")
     assert g.node_count == 1
     assert g.edge_count == 0
-    assert id_map.to_external(0) == 7
+    assert id_map.external_ids.tolist() == [7]
 
 
 def test_load_merges_parallel_edges_by_sum():
@@ -496,9 +496,8 @@ def test_induced_subgraph_copies_node_values():
 
 def test_idmap_round_trip_and_uniqueness():
     m = IdMap(np.array([10, 20, 99]))
-    assert all(m.to_internal(m.to_external(i)) == i for i in range(3))
-    with pytest.raises(KeyError):
-        m.to_internal(1234)
+    assert m.lookup(m.external_ids).tolist() == [0, 1, 2]
+    assert m.lookup([99, 1234, 10]).tolist() == [2, -1, 0]
     with pytest.raises(ValueError):
         IdMap(np.array([1, 1]))
 
@@ -531,11 +530,6 @@ def test_with_node_values_validation():
         g.with_node_values([1, 0, 1])
 
 
-def test_with_node_values_keeps_planted_blocks():
-    g = from_edges(3, [0, 1], [1, 2], planted_blocks=np.array([0, 0, 1]))
-    assert g.with_node_values([2, 3, 4]).planted_blocks.tolist() == [0, 0, 1]
-
-
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError, match="out of range"):
         from_edges(2, [0], [5])
@@ -555,14 +549,12 @@ def test_validator_catches_duplicate_arcs():
         validate_graph(dup)
 
 
-def test_from_edges_rejects_bad_node_values_and_blocks():
+def test_from_edges_rejects_bad_node_values():
     with pytest.raises(ValueError, match="node value array has wrong length"):
         from_edges(3, [0, 1], [1, 2], node_values=[1, 1])
     with pytest.raises(ValueError, match="node values must be >= 1"):
         from_edges(3, [0, 1], [1, 2], node_values=[1, 0, 1])
-    with pytest.raises(ValueError, match="planted block array has wrong length"):
-        from_edges(3, [0, 1], [1, 2], planted_blocks=[0, 1])
-    g = from_edges(3, [0, 1], [1, 2], node_values=[1, 2, 3], planted_blocks=[0, 0, 1])
+    g = from_edges(3, [0, 1], [1, 2], node_values=[1, 2, 3])
     validate_graph(g)
     assert g.node_values.tolist() == [1, 2, 3]
 

@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lppart import graph, kway
+from lppart import graph, kway, labelprop
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import WeightedGraph, from_edges, induced_subgraph
-from lppart.labelprop import (LabelState, LpParams, edge_retention, multilevel_label_prop,
-                              plain_lpa, vote_update)
+from lppart.labelprop import (LpParams, edge_retention, multilevel_label_prop, plain_lpa,
+                              vote_update)
 from lppart.pipeline import PartitionConfig, partition_graph
 from lppart.seeding import edge_uniform, pair_hash64
 
@@ -73,14 +73,14 @@ def _sorted_edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -
     return from_edges(g.node_count, eu, ev, ew, node_values=g.node_values)
 
 
-def _sorted_vote_update(g: WeightedGraph, state: LabelState, plain: bool = False) -> LabelState:
+def _sorted_vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np.ndarray:
     """Pre-rewrite vote (5-key lexsort over all groups); oracle only."""
-    labels = np.asarray(state.labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
         raise ValueError("label array does not match graph")
     new_labels = labels.copy()
     if g.arc_count == 0:
-        return LabelState(new_labels, state.iteration + 1)
+        return new_labels
 
     src = g.arc_sources()
     dst = g.neighbor_targets
@@ -110,7 +110,7 @@ def _sorted_vote_update(g: WeightedGraph, state: LabelState, plain: bool = False
     first = np.concatenate(([True], g_src[pick][1:] != g_src[pick][:-1]))
     winners = pick[first]
     new_labels[g_src[winners]] = g_lab[winners]
-    return LabelState(new_labels, state.iteration + 1)
+    return new_labels
 
 
 def test_retention_four_cycle_drops_weak_edges():
@@ -162,35 +162,35 @@ def test_vote_weighted_example_beats_frequency():
     # one neighbor contributes 0.026, two others 0.01 + 0.003 = 0.013
     g = from_edges(4, [0, 0, 0], [1, 2, 3], [0.026, 0.01, 0.003])
     labels = np.array([0, 50, 60, 60])
-    out = vote_update(g, LabelState(labels))
-    assert out.labels[0] == 50
+    out = vote_update(g, labels)
+    assert out[0] == 50
     # same scores expressed through node values instead of raw weights
     g2 = from_edges(4, [0, 0, 0], [1, 2, 3], [0.052, 0.03, 0.012]).with_node_values([1, 2, 3, 4])
-    out2 = vote_update(g2, LabelState(labels))
-    assert out2.labels[0] == 50
+    out2 = vote_update(g2, labels)
+    assert out2[0] == 50
 
 
 def test_vote_single_candidate_label_wins():
     g = from_edges(3, [0, 0], [1, 2], [1.0, 2.0])
-    out = vote_update(g, LabelState(np.array([9, 4, 4])))
-    assert out.labels[0] == 4
+    out = vote_update(g, np.array([9, 4, 4]))
+    assert out[0] == 4
 
 
 def test_vote_tie_prefers_current_label_else_hash_pick():
     g = from_edges(3, [0, 0], [1, 2], [0.5, 0.5])
     # both labels score exactly 0.5 at node 0
-    out = vote_update(g, LabelState(np.array([7, 7, 3])))
-    assert out.labels[0] == 7  # current label among the maximizers
-    out2 = vote_update(g, LabelState(np.array([9, 7, 3])))
-    assert out2.labels[0] in (3, 7)  # hash-resolved, but always the same way
-    again = vote_update(g, LabelState(np.array([9, 7, 3])))
-    assert again.labels[0] == out2.labels[0]
+    out = vote_update(g, np.array([7, 7, 3]))
+    assert out[0] == 7  # current label among the maximizers
+    out2 = vote_update(g, np.array([9, 7, 3]))
+    assert out2[0] in (3, 7)  # hash-resolved, but always the same way
+    again = vote_update(g, np.array([9, 7, 3]))
+    assert again[0] == out2[0]
 
 
 def test_vote_isolated_node_keeps_label():
     g = from_edges(3, [0], [1])
-    out = vote_update(g, LabelState(np.array([5, 6, 42])))
-    assert out.labels[2] == 42
+    out = vote_update(g, np.array([5, 6, 42]))
+    assert out[2] == 42
 
 
 def test_vote_is_synchronous_and_order_independent():
@@ -206,7 +206,7 @@ def test_vote_is_synchronous_and_order_independent():
         fwd = _vote_reference(g, labels, range(n))
         bwd = _vote_reference(g, labels, range(n - 1, -1, -1))
         assert np.array_equal(fwd, bwd)
-        assert np.array_equal(vote_update(g, LabelState(labels)).labels, fwd)
+        assert np.array_equal(vote_update(g, labels), fwd)
 
 
 def test_multilevel_two_triangles_matches_components():
@@ -223,7 +223,7 @@ def test_multilevel_planted_cliques_recovered():
     g = generate(GeneratorSpec("planted_partition", (2, 50, 1.0, 0.0), seed=1))
     parts = multilevel_label_prop(g, LpParams(p_bound=1.0, seed=1))
     assert parts.num_parts == 2
-    for block in (g.planted_blocks == 0, g.planted_blocks == 1):
+    for block in (np.arange(100) < 50, np.arange(100) >= 50):
         assert len(np.unique(parts.assignment[block])) == 1
 
 
@@ -231,17 +231,48 @@ def test_multilevel_communities_never_straddle_components():
     for seed in range(1, 11):
         g = generate(GeneratorSpec("planted_partition", (2, 50, 1.0, 0.0), seed=seed))
         parts = multilevel_label_prop(g, LpParams(seed=seed))
-        own = set(np.unique(parts.assignment[g.planted_blocks == 0]))
-        other = set(np.unique(parts.assignment[g.planted_blocks == 1]))
+        own = set(np.unique(parts.assignment[:50]))
+        other = set(np.unique(parts.assignment[50:]))
         assert not (own & other)
 
 
-def test_multilevel_labels_stabilize_quickly_on_test_graphs():
+def test_multilevel_labels_stabilize_quickly_on_test_graphs(monkeypatch):
+    hist = []
+
+    def recorded(*args, **kwargs):
+        hist.append(vote_update(*args, **kwargs))
+        return hist[-1]
+
+    monkeypatch.setattr(labelprop, "vote_update", recorded)
     g = from_edges(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
-    _, hist = multilevel_label_prop(g, LpParams(p_bound=0.0, t_iterations=3, seed=2),
-                                    return_history=True)
+    multilevel_label_prop(g, LpParams(p_bound=0.0, t_iterations=3, seed=2))
     assert len(hist) == 4
     assert np.array_equal(hist[2], hist[3])  # fixed from round 3 onward
+
+
+def test_vote_returns_a_new_array_and_leaves_the_callers_labels():
+    g = from_edges(4, [0, 1, 2], [1, 2, 3])
+    for labels in (np.arange(4), np.array([3, 3, 0, 1]), [0, 0, 1, 1]):
+        before = np.array(labels, copy=True)
+        for plain in (False, True):
+            out = vote_update(g, labels, plain=plain)
+            assert out is not labels and not np.shares_memory(out, labels)
+            assert out.dtype == np.int64
+            assert np.array_equal(labels, before)
+    empty = from_edges(3, [], [])  # no arcs: every node keeps its label, in a copy
+    labels = np.array([2, 0, 1])
+    assert not np.shares_memory(vote_update(empty, labels), labels)
+
+
+def test_plain_lpa_history_entries_are_distinct_arrays():
+    g = from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0])  # 4-cycle: plain LP flip-flops
+    labels = np.array([0, 1, 0, 1])
+    hist = plain_lpa(g, labels, 4)
+    assert len(hist) == 4 and labels.tolist() == [0, 1, 0, 1]
+    for i, a in enumerate(hist):
+        assert not np.shares_memory(a, labels)
+        assert all(not np.shares_memory(a, b) for b in hist[i + 1:])
+    assert np.array_equal(hist[0], hist[2]) and not np.array_equal(hist[0], hist[1])
 
 
 def test_multilevel_determinism_and_caller_graph_untouched():
@@ -316,16 +347,16 @@ def test_edge_uniform_is_deterministic_and_well_spread():
 def test_vote_rejects_mismatched_state():
     g = from_edges(3, [0], [1])
     with pytest.raises(ValueError, match="label array"):
-        vote_update(g, LabelState(np.array([0, 1])))
+        vote_update(g, np.array([0, 1]))
 
 
 def test_vote_handles_huge_label_values():
     # labels outside [0, node_count) enter the packed (node, label) keys by rank
     g = from_edges(4, [0, 0, 1], [1, 2, 3], [1.0, 2.0, 1.5])
     big = np.array([2**61, 2**61 + 5, 3, 2**61 + 5])
-    out = vote_update(g, LabelState(big.copy()))
+    out = vote_update(g, big.copy())
     fwd = _vote_reference(g, big, range(4))
-    assert np.array_equal(out.labels, fwd)
+    assert np.array_equal(out, fwd)
 
 
 def _oracle_graphs():
@@ -360,11 +391,10 @@ def test_vote_matches_sort_oracle_bit_for_bit():
     for trial, g, rng in _oracle_graphs():
         for labels in _oracle_label_sets(g, rng):
             for plain in (False, True):
-                want = _sorted_vote_update(g, LabelState(labels.copy()), plain=plain)
-                got = vote_update(g, LabelState(labels.copy()), plain=plain)
-                assert got.labels.dtype == want.labels.dtype
-                assert np.array_equal(got.labels, want.labels), (trial, plain)
-                assert got.iteration == want.iteration
+                want = _sorted_vote_update(g, labels.copy(), plain=plain)
+                got = vote_update(g, labels.copy(), plain=plain)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (trial, plain)
 
 
 def _assert_same_graph(got, want):
@@ -387,12 +417,12 @@ def test_label_prop_rounds_match_sort_oracle():
     # chained rounds feed pruned graphs and voted labels back in, as LP does
     for trial, g, rng in _oracle_graphs():
         params = LpParams(seed=trial)
-        state = want = LabelState.initial(g)
+        labels = want = np.arange(g.node_count, dtype=np.int64)
         work = want_work = g
         for it in range(4):
-            state = vote_update(work, state)
+            labels = vote_update(work, labels)
             want = _sorted_vote_update(want_work, want)
-            assert np.array_equal(state.labels, want.labels), (trial, it)
+            assert np.array_equal(labels, want), (trial, it)
             work = edge_retention(work, params, it)
             want_work = _sorted_edge_retention(want_work, params, it)
             _assert_same_graph(work, want_work)
@@ -421,7 +451,7 @@ def _block_outputs(g, label_sets, whole):
     out = []
     for labels in label_sets:
         for plain in (False, True):
-            out.append(vote_update(g, LabelState(labels.copy()), plain=plain).labels)
+            out.append(vote_update(g, labels.copy(), plain=plain))
         out += kway._part_table(g, labels % 3, 3)
     for ratio, bound in ((0.5, 0.1), (0.3, 0.0), (1.0, 1.0)):
         pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=bound), 1)
@@ -467,14 +497,14 @@ def test_row_blocks_give_the_default_results(monkeypatch, block):
 def test_vote_runs_in_a_forked_child_of_a_threaded_parent(monkeypatch):
     monkeypatch.setattr(graph, "_ARC_BLOCK", 64)
     g = generate(GeneratorSpec("random_weighted", (500, 2000, 0.1, 1.0), seed=3))
-    state = LabelState.initial(g)
+    labels = np.arange(g.node_count)
     with graph.worker_threads(2):
-        want = vote_update(g, state).labels  # the parent's pool now has a worker
+        want = vote_update(g, labels)  # the parent's pool now has a worker
         pid = os.fork()
         if pid == 0:  # the child has no worker thread, so it must make its own pool
             code = 1
             try:
-                code = 0 if np.array_equal(vote_update(g, state).labels, want) else 1
+                code = 0 if np.array_equal(vote_update(g, labels), want) else 1
             finally:
                 os._exit(code)
     deadline = time.monotonic() + 60
@@ -490,10 +520,10 @@ def test_vote_runs_in_a_forked_child_of_a_threaded_parent(monkeypatch):
 def test_vote_and_prune_memory_stays_within_a_few_blocks():
     # the whole-array vote peaked 188 MB above the graph here, the prune 94 MB
     g = generate(GeneratorSpec("random_weighted", (100000, 1000000, 0.1, 1.0), seed=1))
-    state = LabelState.initial(g)
+    labels = np.arange(g.node_count)
     tracemalloc.start()
     try:
-        for step in (lambda: vote_update(g, state), lambda: edge_retention(g, LpParams(), 0)):
+        for step in (lambda: vote_update(g, labels), lambda: edge_retention(g, LpParams(), 0)):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             step()

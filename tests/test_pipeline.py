@@ -49,7 +49,7 @@ def test_planted_partition_edge_cut_stays_near_planted():
     # weak, so it is disabled here (p_bound=1 keeps all edges)
     g = generate(GeneratorSpec("planted_partition", (8, 100, 0.3, 0.01), seed=42))
     u, v, _ = g.edge_array()
-    planted_cross = float(np.mean(g.planted_blocks[u] != g.planted_blocks[v]))
+    planted_cross = float(np.mean(u // 100 != v // 100))
     result = partition_graph(g, PartitionConfig(k=8, lp=LpParams(p_bound=1.0, seed=42)))
     assert edge_cut(g, result.parts) <= 2.0 * planted_cross
 
@@ -287,3 +287,13 @@ def test_level_maps_chain_dimensionally():
     assert result.level_sizes[0]["nodes"] == g.node_count
     for size, pm in zip(result.level_sizes, result.level_maps):
         assert size["communities"] == pm.num_parts
+
+
+def test_every_public_name_resolves():
+    import lppart
+    assert len(set(lppart.__all__)) == len(lppart.__all__)
+    for name in lppart.__all__:
+        assert getattr(lppart, name, None) is not None, name
+    namespace = {}
+    exec("from lppart import *", namespace)
+    assert set(lppart.__all__) <= set(namespace)
