@@ -145,12 +145,11 @@ def _cmd_partition(args) -> int:
 
 def _load_graph_and_parts(input_path: str, parts_path: str):
     g, id_map = load_edge_list(input_path)
-    parts = read_partition_file(parts_path, id_map)
-    return g, id_map, parts
+    return g, read_partition_file(parts_path, id_map)
 
 
 def _cmd_metrics(args) -> int:
-    g, _, parts = _load_graph_and_parts(args.input, args.parts)
+    g, parts = _load_graph_and_parts(args.input, args.parts)
     t0 = time.perf_counter()
     report = build_report(g, parts, parts.num_parts)
     report.wall_times_ms["metrics"] = (time.perf_counter() - t0) * 1000.0
@@ -162,7 +161,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_coarsen(args) -> int:
-    g, _, parts = _load_graph_and_parts(args.input, args.parts)
+    g, parts = _load_graph_and_parts(args.input, args.parts)
     cg = coarsen(parts, args.mode, g)
     write_coarse_graph(cg, args.out, args.out + ".values")
     logger.info("coarse graph: %d nodes / %d edges", cg.graph.node_count, cg.graph.edge_count)

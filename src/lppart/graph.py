@@ -111,9 +111,6 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.neighbor_offsets)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.neighbor_targets[self.neighbor_offsets[i]:self.neighbor_offsets[i + 1]]
-
     def neighbor_weights(self, i: int) -> np.ndarray:
         return self.edge_weights[self.neighbor_offsets[i]:self.neighbor_offsets[i + 1]]
 
@@ -453,42 +450,6 @@ def from_edges(node_count: int, src, dst, weight=None, node_values=None) -> Weig
     return _merge_edges(node_count, [src, dst, weight], node_values)
 
 
-def validate_graph(g: WeightedGraph) -> None:
-    """Check structural invariants; raises ValueError on the first violation."""
-    off = g.neighbor_offsets
-    if off.shape != (g.node_count + 1,) or off[0] != 0:
-        raise ValueError("neighbor_offsets has wrong shape or start")
-    if np.any(np.diff(off) < 0):
-        raise ValueError("neighbor_offsets is not non-decreasing")
-    if off[-1] != g.arc_count:
-        raise ValueError("last offset does not equal arc count")
-    if len(g.edge_weights) != g.arc_count:
-        raise ValueError("edge_weights length mismatch")
-    if g.node_values.shape != (g.node_count,):
-        raise ValueError("node_values length mismatch")
-    if g.node_count and len(g.node_values) and g.node_values.min() < 1:
-        raise ValueError("node values must be >= 1")
-    if g.arc_count == 0:
-        return
-    src = g.arc_sources()
-    dst = g.neighbor_targets
-    if dst.min() < 0 or dst.max() >= g.node_count:
-        raise ValueError("neighbor target out of range")
-    if np.any(src == dst):
-        raise ValueError("self-loop arc stored in adjacency")
-    if not np.all(np.isfinite(g.edge_weights)) or g.edge_weights.min() <= 0:
-        raise ValueError("edge weights must be finite and positive")
-    fwd = np.lexsort((dst, src))
-    rev = np.lexsort((src, dst))
-    if (not np.array_equal(src[fwd], dst[rev])
-            or not np.array_equal(dst[fwd], src[rev])
-            or not np.array_equal(g.edge_weights[fwd], g.edge_weights[rev])):
-        raise ValueError("adjacency is not symmetric with identical weights")
-    dup = (src[fwd][1:] == src[fwd][:-1]) & (dst[fwd][1:] == dst[fwd][:-1])
-    if dup.any():
-        raise ValueError("duplicate arcs stored in adjacency")
-
-
 # np.loadtxt opens a str path through numpy's DataSource, which fetches URLs and
 # decompresses by suffix (a plain-text "x.tsv.gz" would fail); such names are
 # parsed from the text already read instead.
@@ -723,15 +684,14 @@ def _number_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs.flat[firsts], rank[key[0::2]], rank[key[1::2]]
 
 
-def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[WeightedGraph, IdMap]:
+def load_edge_list(source: str | Path | IO) -> tuple[WeightedGraph, IdMap]:
     """Parse an edge-list TSV into a graph plus an id map.
 
     Lines are ``src<TAB>dst[<TAB>weight]``; ``#``-prefixed lines are ignored.
     Node ids are parsed as exact signed 64-bit integers, weights as float64.
     Parallel edges are merged by summing their weights, self-loops are
-    dropped with a counted warning, and the graph is symmetrized. With
-    ``weighted=False`` any weight column is still validated but every edge
-    gets weight 1.0. Internal indices are assigned in first-appearance order.
+    dropped with a counted warning, and the graph is symmetrized. A missing
+    weight is 1.0. Internal indices are assigned in first-appearance order.
 
     A well-formed file is parsed by ``np.loadtxt``, a large one from a path
     on two cores where more than one thread is allowed (``_parse_columns``),
@@ -749,7 +709,7 @@ def load_edge_list(source: str | Path | IO, weighted: bool = True) -> tuple[Weig
         raise GraphFormatError(f"line {_line_of_row(text, bad[0])}: edge weight must be "
                                f"finite and positive, got {float(w[bad[0]])!r}")
     # a copy, so the parsed rows are freed once the ids are numbered
-    w = w.copy() if weighted else np.ones(len(w))
+    w = w.copy()
     del text, weights  # freed before the id numbering, which sets the load's peak memory
     if not len(pairs):
         raise GraphFormatError("empty input: no edges or nodes found")
@@ -768,19 +728,6 @@ def write_edge_list(g: WeightedGraph, dest: str | Path | IO, id_map: IdMap | Non
     u, v, w = g.edge_array()
     ext = id_map.external_ids if id_map is not None else np.arange(g.node_count, dtype=np.int64)
     _write_table(dest, (ext[u], ext[v]), w)
-
-
-def write_node_set(nodes, dest: str | Path | IO, id_map: IdMap | None = None) -> None:
-    """Write a node set as one external id per line."""
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    ids = id_map.external_ids[nodes] if id_map is not None else nodes
-    _write_table(dest, (ids,))
-
-
-def read_node_set(source: str | Path | IO) -> np.ndarray:
-    """Read a one-id-per-line node set; returns sorted unique external ids."""
-    ids, _ = _read_table(source, _read_text(source), ("node id",))
-    return np.unique(ids)
 
 
 def induced_subgraph(g: WeightedGraph, nodes) -> tuple[WeightedGraph, IdMap]:

@@ -55,8 +55,8 @@ class BisectConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and >= 0")
 
 
 def per_part_cap(total: float, k: int, epsilon: float) -> float:

@@ -60,7 +60,6 @@ class PipelineResult:
 
     parts: PartitionMap
     level_maps: list[PartitionMap]  # the maps the finisher's input was coarsened through
-    final_coarse_parts: PartitionMap
     level_sizes: list[dict]
     timings_ms: dict[str, float]
     fallback_splits: int  # levels the stop rule skipped: outer_t + 1 - len(level_maps)
@@ -105,10 +104,9 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
     timings["coarsen_ms"] = coarsen_s * 1000.0
 
     t0 = time.perf_counter()
-    final_coarse_parts = kway_partition(CoarseGraph.wrap(work.with_node_values(mass)),
-                                        cfg.k, cfg.bisect)
+    final = kway_partition(CoarseGraph.wrap(work.with_node_values(mass)), cfg.k,
+                           cfg.bisect).assignment
     timings["kway_ms"] = (time.perf_counter() - t0) * 1000.0
-    final = final_coarse_parts.assignment
     for pm in reversed(level_maps):
         final = final[pm.assignment]
 
@@ -126,18 +124,18 @@ def partition_graph(g: WeightedGraph, cfg: PartitionConfig) -> PipelineResult:
     for msg in warnings:
         logger.warning("%s", msg)
 
-    return PipelineResult(parts, level_maps, final_coarse_parts, level_sizes, timings,
+    return PipelineResult(parts, level_maps, level_sizes, timings,
                           cfg.outer_t + 1 - len(level_maps), warnings)
 
 
 def sample_subgraphs(parts: PartitionMap, ratio: float, seed: int) -> np.ndarray:
-    """Uniformly sample ``ceil(ratio * K)`` distinct part ids without replacement."""
+    """Uniformly sample ``ceil(ratio * K)`` distinct part ids without replacement,
+    where the ``K`` ids are those of the parts that hold a node."""
     if not (0.0 < ratio <= 1.0):
         raise ValueError("ratio must lie in (0, 1]")
-    k = parts.num_parts
-    size = math.ceil(ratio * k)
+    ids = np.unique(parts.assignment)
     rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(k, size=size, replace=False))
+    return np.sort(rng.choice(ids, size=math.ceil(ratio * len(ids)), replace=False))
 
 
 def write_partition_file(parts: PartitionMap, id_map: IdMap, dest: str | Path | IO) -> None:

@@ -221,16 +221,16 @@ def test_criterion_6_near_linear_scaling(tmp_path):
             assert cli_run(["gen", "--model", f"random_weighted({n},{m},0.1,1.0)",
                             "--seed", "42", "--out", str(path)]) == 0
             paths[tag] = path
-        medians = {}
-        for tag, path in paths.items():
-            times = []
-            for rep in range(3):
+        # the sizes alternate, so a drift in machine speed reaches both alike
+        times = {tag: [] for tag in paths}
+        for rep in range(3):
+            for tag, path in paths.items():
                 out = tmp_path / f"{tag}_{rep}.parts"
                 start = time.perf_counter()
                 assert cli_run(["partition", "--input", str(path), "--k", "8",
                                 "--seed", "42", "--out", str(out)]) == 0
-                times.append(time.perf_counter() - start)
-            medians[tag] = sorted(times)[1]
+                times[tag].append(time.perf_counter() - start)
+        medians = {tag: sorted(t)[1] for tag, t in times.items()}
         ratio = medians["2m"] / medians["1m"]
         summary = f"medians: 1M={medians['1m']:.1f}s 2M={medians['2m']:.1f}s ratio={ratio:.2f}"
         print(f"  {summary}")

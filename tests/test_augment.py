@@ -10,6 +10,8 @@ from lppart.augment import (FeatureTable, PagerankParams, aggregate_features, co
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import PartitionMap, from_edges
 
+from oracles import neighbors
+
 
 def _dense_pagerank_oracle(g, alpha=0.85, iters=5000):
     """Independent dense fixed-point iteration, run to 1e-14."""
@@ -18,7 +20,7 @@ def _dense_pagerank_oracle(g, alpha=0.85, iters=5000):
     deg = g.degrees.astype(float)
     m = np.zeros((n, n))
     for i in range(n):
-        for j in g.neighbors(i):
+        for j in neighbors(g, i):
             m[j, i] = 1.0 / deg[i]
     dangling = deg == 0
     for _ in range(iters):

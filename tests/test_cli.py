@@ -147,6 +147,17 @@ def test_exit_codes():
     assert run(["partition", "--help"]) == 0
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1"])
+def test_partition_rejects_a_negative_or_non_finite_epsilon(tmp_path, capsys, epsilon):
+    graph = tmp_path / "g.tsv"
+    out = tmp_path / "p.tsv"
+    assert run(["gen", "--model", "planted_partition(4,50,0.3,0.01)", "--out", str(graph)]) == 0
+    assert run(["partition", "--input", str(graph), "--k", "4", "--epsilon", epsilon,
+                "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == "error: epsilon must be finite and >= 0\n"
+    assert not out.exists()
+
+
 def test_infeasible_k_exit_code(tmp_path):
     graph = tmp_path / "g.tsv"
     run(["gen", "--model", "ring(5)", "--out", str(graph)])
@@ -276,7 +287,16 @@ def test_sample_repeated_id_keeps_its_last_part(tmp_path, capsys):
     parts = tmp_path / "p.tsv"
     parts.write_text("0\t0\n1\t0\n1\t5\n")
     assert run(["sample", "--parts", str(parts), "--ratio", "1.0"]) == 0
-    assert capsys.readouterr().out.split() == [str(i) for i in range(6)]
+    assert capsys.readouterr().out.split() == ["0", "5"]
+
+
+def test_sample_draws_only_ids_of_parts_that_hold_a_node(tmp_path, capsys):
+    parts = tmp_path / "p.tsv"
+    parts.write_text("1\t0\n2\t5\n")
+    assert run(["sample", "--parts", str(parts), "--ratio", "1.0"]) == 0
+    assert capsys.readouterr().out.split() == ["0", "5"]
+    assert run(["sample", "--parts", str(parts), "--ratio", "0.5"]) == 0
+    assert capsys.readouterr().out.split() in (["0"], ["5"])
 
 
 @pytest.mark.parametrize("command", ["sample", "metrics"])

@@ -13,17 +13,18 @@ from lppart.cli import run
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, from_edges, induced_subgraph,
-                          load_edge_list, read_node_set, validate_graph, write_edge_list,
-                          write_node_set)
+                          load_edge_list, write_edge_list)
 from lppart.pipeline import read_partition_file, write_partition_file
 
+from oracles import validate_graph
 
-def _load(text, weighted=True):
-    return load_edge_list(io.BytesIO(text.encode()), weighted=weighted)
+
+def _load(text):
+    return load_edge_list(io.BytesIO(text.encode()))
 
 
 def test_load_unweighted_pair_of_edges():
-    g, id_map = _load("1\t2\n2\t3\n", weighted=False)
+    g, id_map = _load("1\t2\n2\t3\n")
     assert g.node_count == 3
     assert g.edge_count == 2
     assert np.all(g.edge_weights == 1.0)
@@ -48,11 +49,6 @@ def test_load_merges_parallel_edges_by_sum():
 def test_load_ignores_comments_and_blank_lines():
     g, _ = _load("# header\n\n1\t2\n")
     assert g.edge_count == 1
-
-
-def test_load_unweighted_flag_ignores_weight_column():
-    g, _ = _load("1\t2\t9.5\n", weighted=False)
-    assert g.edge_weights[0] == 1.0
 
 
 def test_load_reports_line_numbers():
@@ -145,18 +141,15 @@ def _assert_fast_path_agrees_with_line_parser(tmp_path, monkeypatch, data, read)
 
 
 @pytest.mark.parametrize("name", sorted(_LOADER_CASES))
-@pytest.mark.parametrize("weighted", [True, False])
-def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name, weighted):
+def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name):
     _assert_fast_path_agrees_with_line_parser(
-        tmp_path, monkeypatch, _LOADER_CASES[name],
-        lambda src: _graph_arrays(load_edge_list(src, weighted=weighted)))
+        tmp_path, monkeypatch, _LOADER_CASES[name], lambda src: _graph_arrays(load_edge_list(src)))
 
 
 # Inputs for the other table readers, keyed by (reader, case).
 _TABLE_READERS = {
     "partition": lambda src: [read_partition_file(src, IdMap([1, 2, 10])).assignment],
     "feature table": lambda src: _feature_arrays(read_feature_table(src)),
-    "node set": lambda src: [read_node_set(src)],
 }
 _TABLE_CASES = {
     ("partition", "well formed"): "1\t0\n2\t1\n10\t1\n",
@@ -167,12 +160,14 @@ _TABLE_CASES = {
     ("partition", "unknown id"): "1\t0\n2\t0\n7\t1\n",
     ("partition", "repeated id keeps its last part"): "1\t0\n2\t0\n10\t0\n1\t2\n",
     ("partition", "one field"): "1\n2\t0\n10\t0\n",
+    ("partition", "three fields"): "1\t0\n2\t0\t3\n10\t0\n",
     ("partition", "not total"): "1\t0\n",
     ("partition", "crlf"): "1\t0\r\n2\t1\r\n10\t0\r\n",
     ("partition", "byte order mark"): "\ufeff1\t0\n2\t0\n10\t0\n",
     ("partition", "mid-line hash"): "1\t2#x\n2\t0\n10\t0\n",
     ("partition", "hash header"): "# Nodes: 3\n# NodeId\tPart\n1\t0\n2\t1\n10\t0\n",
     ("partition", "lone carriage return"): "1\t0\n2\t0\r10\t0\n",
+    ("partition", "comments only"): "# nothing\n\n",
     ("feature table", "dim header"): "#dim 2\n7\t0.5\t1.5\n3\t2.0\t-1.0\n",
     ("feature table", "no header"): "7\t0.5\n3\t2.0\n",
     ("feature table", "underscore id"): "1_0\t0.5\n2\t1.5\n",
@@ -192,15 +187,6 @@ _TABLE_CASES = {
     ("feature table", "mid-line hash"): "1\t2#x\n",
     ("feature table", "hash header"): "# Nodes: 2\n# NodeId\tF\n1\t0.5\n2\t1.5\n",
     ("feature table", "header only"): "#dim 2\n",
-    ("node set", "well formed"): "9\n# comment\n3\n9\n",
-    ("node set", "underscore id"): "1_0\n2\n",
-    ("node set", "id 2**63"): f"1\n{2**63}\n",
-    ("node set", "two fields"): "1\n2\t3\n",
-    ("node set", "crlf"): "1\r\n2\r\n",
-    ("node set", "byte order mark"): "\ufeff1\n2\n",
-    ("node set", "mid-line hash"): "1#x\n",
-    ("node set", "hash header"): "# Nodes: 2\n# NodeId\n1\n2\n",
-    ("node set", "comments only"): "# nothing\n\n",
 }
 
 
@@ -248,7 +234,6 @@ def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
     id_map = IdMap(ids)
     rows = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-300, 300, (len(ids), 3))
     parts = PartitionMap(rng.integers(0, 5, len(ids)), 5)
-    nodes = rng.choice(len(ids), 40, replace=False)
     m = 900
     g = from_edges(len(ids), rng.integers(0, len(ids), m), rng.integers(0, len(ids), m),
                    rng.uniform(0.1, 1.0, m) * 10.0 ** rng.integers(-300, 300, m))
@@ -267,8 +252,6 @@ def test_written_tables_skip_the_line_parser(tmp_path, monkeypatch):
         "feature table": (lambda dest: write_feature_table(FeatureTable(rows), dest, ids=ids),
                           lambda src: _feature_arrays(read_feature_table(src)),
                           [rows, ids]),
-        "node set": (lambda dest: write_node_set(nodes, dest, id_map),
-                     lambda src: [read_node_set(src)], [np.sort(ids[nodes])]),
         "coarse values": (lambda dest: write_coarse_graph(coarse, io.StringIO(), dest),
                           read_table(("node id", "value"), ("self-loop weight",)),
                           [np.stack([np.arange(parts.num_parts), coarse.graph.node_values], axis=1),
@@ -507,19 +490,6 @@ def test_partition_map_validation():
     assert pm.part_sizes().tolist() == [2, 2]
     with pytest.raises(ValueError):
         PartitionMap(np.array([0, 2]), 2)
-
-
-def test_node_set_round_trip():
-    import io as _io
-    from lppart.graph import read_node_set, write_node_set
-    m = IdMap(np.array([100, 7, 42, 9]))
-    buf = _io.StringIO()
-    write_node_set([2, 0, 2], buf, id_map=m)
-    assert buf.getvalue() == "100\n42\n"  # internal order 0, 2 -> ids 100, 42
-    back = read_node_set(_io.BytesIO(b"# comment\n42\n100\n42\n"))
-    assert back.tolist() == [42, 100]
-    with pytest.raises(GraphFormatError, match="line 2"):
-        read_node_set(_io.BytesIO(b"1\nxyz\n"))
 
 
 def test_with_node_values_validation():

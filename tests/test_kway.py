@@ -14,6 +14,8 @@ from lppart.kway import (BisectConfig, InfeasibleError, _rebalance, _refine, cut
                          heavy_edge_clustering, kway_partition)
 from lppart.seeding import edge_uniform
 
+from oracles import neighbors
+
 logger = logging.getLogger(__name__)
 
 
@@ -31,7 +33,7 @@ def _pointers_reference(g, seed, max_mass):
     ptr = []
     for u in range(g.node_count):
         best = ((-math.inf,), u)
-        for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u)):
+        for v, w in zip(neighbors(g, u).tolist(), g.neighbor_weights(u)):
             h = edge_uniform(seed, 0, np.array([u]), np.array([v]))[0]
             key = (w / (vals[u] * vals[v]), h, -v)
             if vals[u] + vals[v] <= max_mass and key > best[0]:
@@ -226,7 +228,7 @@ def _best_moves_reference(g, parts, nodes, room):
     dest, saving = [], []
     for u in nodes:
         conn = np.zeros(len(room))
-        for v, w in zip(g.neighbors(u), g.neighbor_weights(u)):
+        for v, w in zip(neighbors(g, u), g.neighbor_weights(u)):
             conn[parts[v]] += w
         fit = room >= g.node_values[u]
         fit[parts[u]] = False
@@ -447,6 +449,12 @@ def test_refinement_keeps_parts_above_their_value_floor():
     assert sizes.min() >= lows[0] and sizes.max() <= 110
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_bisect_config_rejects_a_negative_or_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        BisectConfig(epsilon=epsilon)
+
+
 def test_infeasible_requests_raise():
     g = generate(GeneratorSpec("ring", (4,)))
     with pytest.raises(InfeasibleError):
@@ -543,7 +551,7 @@ def _components_reference(g):
         comp[s] = count
         stack = [s]
         while stack:
-            for v in g.neighbors(stack.pop()).tolist():
+            for v in neighbors(g, stack.pop()).tolist():
                 if comp[v] < 0:
                     comp[v] = count
                     stack.append(v)
@@ -575,7 +583,7 @@ def _bfs_levels_reference(g, start):
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in g.neighbors(u).tolist():
+        for v in neighbors(g, u).tolist():
             if level[v] < 0:
                 level[v] = level[u] + 1
                 queue.append(v)
@@ -628,7 +636,7 @@ def _initial_side_reference(g, comp, ncomp, target0, caps, floors, seed):
     level = _bfs_levels_reference(g, max(range(n), key=lambda u: (around[u], -u)))
 
     def pull(u):  # weight to the nodes one hop closer to the start
-        return sum(w for v, w in zip(g.neighbors(u).tolist(), g.neighbor_weights(u).tolist())
+        return sum(w for v, w in zip(neighbors(g, u).tolist(), g.neighbor_weights(u).tolist())
                    if level[v] == level[u] - 1)
 
     queue = sorted((u for u in range(n) if level[u] >= 0), key=lambda u: (level[u], -pull(u), u))

@@ -15,6 +15,8 @@ from lppart.labelprop import (LpParams, edge_retention, multilevel_label_prop, p
 from lppart.pipeline import PartitionConfig, partition_graph
 from lppart.seeding import edge_uniform, pair_hash64
 
+from oracles import neighbors
+
 
 def _edge_set(g):
     u, v, _ = g.edge_array()
@@ -26,7 +28,7 @@ def _vote_reference(g, labels, order, plain=False):
     new = labels.copy()
     for i in order:
         scores = {}
-        for j, w in zip(g.neighbors(i), g.neighbor_weights(i)):
+        for j, w in zip(neighbors(g, i), g.neighbor_weights(i)):
             lab = int(labels[j])
             inc = 1.0 if plain else w / g.node_values[j]
             scores[lab] = scores.get(lab, 0.0) + inc

@@ -131,14 +131,21 @@ def test_over_cap_parts_are_named_in_warnings():
     assert over == [f"1 part(s) exceed the per-part mass cap {cap:.1f}: part {heavy} (40)"]
 
 
-def test_composition_soundness_through_levels():
+def test_composition_soundness_through_levels(monkeypatch):
+    seen = []
+
+    def capture(cg, k, cfg):
+        seen.append(kway_partition(cg, k, cfg))
+        return seen[-1]
+
+    monkeypatch.setattr("lppart.pipeline.kway_partition", capture)
     g = generate(GeneratorSpec("planted_partition", (6, 40, 0.4, 0.02), seed=9))
     result = partition_graph(g, PartitionConfig(k=6, lp=LpParams(seed=9)))
     composed = result.level_maps[0].assignment
     for pm in result.level_maps[1:]:
         composed = pm.assignment[composed]
-    assert np.array_equal(result.final_coarse_parts.assignment[composed],
-                          result.parts.assignment)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].assignment[composed], result.parts.assignment)
 
 
 def test_small_part_warnings_emitted():

@@ -11,8 +11,7 @@ import pytest
 from lppart import graph
 from lppart.augment import FeatureTable, read_feature_table, write_feature_table
 from lppart.coarsen import coarsen, write_coarse_graph
-from lppart.graph import (IdMap, PartitionMap, from_edges, load_edge_list, read_node_set,
-                          write_edge_list, write_node_set)
+from lppart.graph import IdMap, PartitionMap, from_edges, load_edge_list, write_edge_list
 from lppart.pipeline import read_partition_file, write_partition_file
 
 
@@ -34,7 +33,6 @@ _READERS = {
                   lambda src: [read_partition_file(src, IdMap([3, 7, 9])).assignment]),
     "feature table": ("#dim 2\n7\t0.5\t1.5\n3\t2.0\t-1.0\n",
                       lambda src: _feature_fields(read_feature_table(src))),
-    "node set": ("9\n# comment\n3\n9\n", lambda src: [read_node_set(src)]),
 }
 
 _G = from_edges(4, [0, 1, 2, 0], [1, 2, 3, 3], [0.5, 1.25, 2.0, 0.1])
@@ -43,7 +41,6 @@ _COARSE = coarsen(PartitionMap(np.array([0, 0, 1, 1]), 2), "node", _G)
 
 _WRITERS = {
     "edge list": lambda dest: write_edge_list(_G, dest, _IDS),
-    "node set": lambda dest: write_node_set([3, 1], dest, _IDS),
     "partition": lambda dest: write_partition_file(PartitionMap([0, 1, 1, 0], 2), _IDS, dest),
     "coarse edges": lambda dest: write_coarse_graph(_COARSE, dest, io.StringIO()),
     "coarse values": lambda dest: write_coarse_graph(_COARSE, io.StringIO(), dest),
