@@ -140,7 +140,9 @@ def _assert_fast_path_agrees_with_line_parser(tmp_path, monkeypatch, data, read)
     assert fast == lines_only
 
 
-@pytest.mark.parametrize("name", sorted(_LOADER_CASES))
+# The ids keep their "True-" prefix from when the loader could also drop weights,
+# so each case keeps its name in the suite's history.
+@pytest.mark.parametrize("name", sorted(_LOADER_CASES), ids=lambda name: f"True-{name}")
 def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name):
     _assert_fast_path_agrees_with_line_parser(
         tmp_path, monkeypatch, _LOADER_CASES[name], lambda src: _graph_arrays(load_edge_list(src)))
@@ -150,6 +152,8 @@ def test_loader_agrees_with_line_parser(tmp_path, monkeypatch, name):
 _TABLE_READERS = {
     "partition": lambda src: [read_partition_file(src, IdMap([1, 2, 10])).assignment],
     "feature table": lambda src: _feature_arrays(read_feature_table(src)),
+    # one id per line and no value column, the narrowest table the reader takes
+    "node set": lambda src: [graph._read_table(src, graph._read_text(src), ("node id",))[0]],
 }
 _TABLE_CASES = {
     ("partition", "well formed"): "1\t0\n2\t1\n10\t1\n",
@@ -187,6 +191,15 @@ _TABLE_CASES = {
     ("feature table", "mid-line hash"): "1\t2#x\n",
     ("feature table", "hash header"): "# Nodes: 2\n# NodeId\tF\n1\t0.5\n2\t1.5\n",
     ("feature table", "header only"): "#dim 2\n",
+    ("node set", "well formed"): "9\n# comment\n3\n9\n",
+    ("node set", "underscore id"): "1_0\n2\n",
+    ("node set", "id 2**63"): f"1\n{2**63}\n",
+    ("node set", "two fields"): "1\n2\t3\n",
+    ("node set", "crlf"): "1\r\n2\r\n",
+    ("node set", "byte order mark"): "\ufeff1\n2\n",
+    ("node set", "mid-line hash"): "1#x\n",
+    ("node set", "hash header"): "# Nodes: 2\n# NodeId\n1\n2\n",
+    ("node set", "comments only"): "# nothing\n\n",
 }
 
 
