@@ -7,8 +7,7 @@ from lppart.graph import (GraphFormatError, IdMap, PartitionMap, WeightedGraph, 
                           induced_subgraph, load_edge_list, thread_count, worker_threads,
                           write_edge_list)
 from lppart.generate import GeneratorSpec, generate
-from lppart.labelprop import (LpParams, edge_retention, multilevel_label_prop, plain_lpa,
-                              vote_update)
+from lppart.labelprop import LpParams, edge_retention, multilevel_label_prop, vote_update
 from lppart.coarsen import CoarseGraph, coarsen, write_coarse_graph
 from lppart.kway import (BisectConfig, InfeasibleError, cut_weight, heavy_edge_clustering,
                          kway_partition)
@@ -16,20 +15,18 @@ from lppart.pipeline import (PartitionConfig, PipelineResult, partition_graph, r
                              sample_subgraphs, write_partition_file)
 from lppart.augment import (FeatureTable, PagerankParams, aggregate_features, concat_global,
                             lowest_pagerank_nodes, pagerank, refine_structure)
-from lppart.metrics import (PartitionReport, SpectralCheckReport, balance, build_report,
-                            edge_cut, spectral_submatrix_check, std_dev)
+from lppart.metrics import PartitionReport, balance, build_report, edge_cut, std_dev
 
 __all__ = [
     "GraphFormatError", "IdMap", "PartitionMap", "WeightedGraph", "from_edges",
     "induced_subgraph", "load_edge_list", "thread_count", "worker_threads", "write_edge_list",
     "GeneratorSpec", "generate",
-    "LpParams", "edge_retention", "multilevel_label_prop", "plain_lpa", "vote_update",
+    "LpParams", "edge_retention", "multilevel_label_prop", "vote_update",
     "CoarseGraph", "coarsen", "write_coarse_graph",
     "BisectConfig", "InfeasibleError", "cut_weight", "heavy_edge_clustering", "kway_partition",
     "PartitionConfig", "PipelineResult", "partition_graph",
     "read_partition_file", "sample_subgraphs", "write_partition_file",
     "FeatureTable", "PagerankParams", "aggregate_features", "concat_global",
     "lowest_pagerank_nodes", "pagerank", "refine_structure",
-    "PartitionReport", "SpectralCheckReport", "balance", "build_report", "edge_cut",
-    "spectral_submatrix_check", "std_dev",
+    "PartitionReport", "balance", "build_report", "edge_cut", "std_dev",
 ]

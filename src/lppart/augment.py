@@ -144,15 +144,21 @@ def aggregate_features(parts: PartitionMap, feats: FeatureTable,
     return FeatureTable(out)
 
 
-def concat_global(feats: FeatureTable, global_feats: FeatureTable,
-                  parts: PartitionMap) -> FeatureTable:
-    """Append each node's part-level global row to its own feature row."""
+def concat_global(feats: FeatureTable, global_feats: FeatureTable, parts: PartitionMap,
+                  global_ids: np.ndarray | None = None) -> FeatureTable:
+    """Append to each node's feature row the global row of its part.
+
+    ``global_ids[r]`` is the part id of global row ``r``, by default ``r``.
+    A part that holds a node but has no global row is a ``GraphFormatError``.
+    """
     if len(feats) != len(parts):
         raise ValueError("feature table does not cover the partition map")
-    if len(global_feats) != parts.num_parts:
-        raise ValueError("global feature table must have one row per part")
-    joined = np.concatenate([feats.rows, global_feats.rows[parts.assignment]], axis=1)
-    return FeatureTable(joined)
+    ids = np.arange(len(global_feats)) if global_ids is None else global_ids
+    rows = IdMap(ids).lookup(parts.assignment)
+    if (rows < 0).any():
+        missing = parts.assignment[rows < 0].min()
+        raise GraphFormatError(f"global feature table has no row for part {missing}")
+    return FeatureTable(np.concatenate([feats.rows, global_feats.rows[rows]], axis=1))
 
 
 def write_feature_table(table: FeatureTable, dest: str | Path | IO,

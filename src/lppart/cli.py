@@ -11,13 +11,15 @@ import logging
 import sys
 import time
 
+import numpy as np
+
 from lppart import __version__
 from lppart.augment import (PagerankParams, aggregate_features, concat_global, pagerank,
                             read_feature_table, refine_structure, write_feature_table)
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
-from lppart.graph import (GraphFormatError, IdMap, _write_table, load_edge_list, thread_count,
-                          worker_threads, write_edge_list)
+from lppart.graph import (GraphFormatError, IdMap, PartitionMap, _write_table, load_edge_list,
+                          thread_count, worker_threads, write_edge_list)
 from lppart.kway import BisectConfig, InfeasibleError
 from lppart.labelprop import LpParams
 from lppart.metrics import build_report
@@ -150,6 +152,9 @@ def _load_graph_and_parts(input_path: str, parts_path: str):
 
 def _cmd_metrics(args) -> int:
     g, parts = _load_graph_and_parts(args.input, args.parts)
+    # score the part ids that hold a node, in ascending order
+    ids, assign = np.unique(parts.assignment, return_inverse=True)
+    parts = PartitionMap(assign, len(ids))
     t0 = time.perf_counter()
     report = build_report(g, parts, parts.num_parts)
     report.wall_times_ms["metrics"] = (time.perf_counter() - t0) * 1000.0
@@ -197,8 +202,9 @@ def _cmd_features(args) -> int:
     if args.features_command == "aggregate":
         write_feature_table(aggregate_features(parts, table, op=args.op), args.out)
     else:
-        global_table, _ = read_feature_table(args.global_features)
-        write_feature_table(concat_global(table, global_table, parts), args.out, ids=ids)
+        global_table, global_ids = read_feature_table(args.global_features)
+        joined = concat_global(table, global_table, parts, global_ids)
+        write_feature_table(joined, args.out, ids=ids)
     return 0
 
 

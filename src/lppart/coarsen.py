@@ -56,7 +56,8 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
     pv = assign[v]
     del u, v
     intra = pu == pv
-    self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m)
+    # float64 even with no intra-part edge, where bincount would return int64
+    self_loop = np.bincount(pu[intra], weights=w[intra], minlength=m).astype(np.float64)
     # only ``edges`` holds the three arrays, so the merge frees them before its
     # CSR build, which sets coarsen's peak memory
     edges = [pu, pv, w]

@@ -111,15 +111,9 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.neighbor_offsets)
 
-    def neighbor_weights(self, i: int) -> np.ndarray:
-        return self.edge_weights[self.neighbor_offsets[i]:self.neighbor_offsets[i + 1]]
-
     def arc_sources(self) -> np.ndarray:
         """Source index of every stored arc (parallel to neighbor_targets)."""
         return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-
-    def total_edge_weight(self) -> float:
-        return float(self.edge_weights.sum()) / 2.0
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical undirected edges as (u, v, w) arrays with u < v, in arc order."""

@@ -78,7 +78,7 @@ def edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -> Weight
     return _keep_arcs(g, rule)
 
 
-def vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np.ndarray:
+def vote_update(g: WeightedGraph, labels: np.ndarray) -> np.ndarray:
     """One synchronous voting round; returns the new labels in a new int64 array.
 
     Each neighbor m of node i contributes ``w_im / value(m)`` to the score of
@@ -102,13 +102,6 @@ def vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np
     reaches it keeps that label; a node with a single maximizer takes it;
     only the nodes left with several tied candidates sort those candidates
     by (node, hash, label) and take the first.
-
-    With ``plain=True`` the vote degrades to classic frequency counting:
-    weights and node values are ignored and ties always go to the smallest
-    label id, the first maximizer of the node's label-sorted segment. On
-    bipartite graphs this mode flip-flops with period 2 from a two-sided
-    initialization, which is exactly the failure the pruning rounds exist to
-    avoid.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
@@ -125,10 +118,7 @@ def vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np
 
     def vote(a, b, src):
         dst = g.neighbor_targets[off[a]:off[b]]
-        if plain:
-            contrib = np.ones(len(dst), dtype=np.float64)
-        else:
-            contrib = g.edge_weights[off[a]:off[b]] / g.node_values[dst]
+        contrib = g.edge_weights[off[a]:off[b]] / g.node_values[dst]
         lab = labels[dst]
         order = _stable_order((src - a) * span + (lab if ranks is labels else ranks[dst]))
         s_s, l_s = src[order], lab[order]
@@ -143,31 +133,17 @@ def vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np
         best = np.maximum.reduceat(scores, np.flatnonzero(seg_first))
         cand = np.flatnonzero(scores == best[seg])
         c_seg = seg[cand]
-        lowest = cand[_run_heads(c_seg)]  # smallest maximizing label per segment
-        if plain:
-            winners = lowest
-        else:
-            n_max = np.bincount(c_seg, minlength=len(best))
-            tied = n_max > 1
-            tied[c_seg[g_lab[cand] == labels[g_src[cand]]]] = False  # current label kept
-            single = lowest[n_max[seg[lowest]] == 1]
-            rest = cand[tied[c_seg]]
-            pick = rest[np.lexsort((g_lab[rest], pair_hash64(g_src[rest], g_lab[rest]),
-                                    seg[rest]))]
-            winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
+        n_max = np.bincount(c_seg, minlength=len(best))
+        tied = n_max > 1
+        tied[c_seg[g_lab[cand] == labels[g_src[cand]]]] = False  # current label kept
+        single = cand[n_max[c_seg] == 1]
+        rest = cand[tied[c_seg]]
+        pick = rest[np.lexsort((g_lab[rest], pair_hash64(g_src[rest], g_lab[rest]), seg[rest]))]
+        winners = np.concatenate((single, pick[_run_heads(seg[pick])]))
         new_labels[g_src[winners]] = g_lab[winners]
 
     _map_rows(g, vote)
     return new_labels
-
-
-def plain_lpa(g: WeightedGraph, labels: np.ndarray, rounds: int) -> list[np.ndarray]:
-    """Run plain synchronous frequency voting; returns labels after each round."""
-    history = []
-    for _ in range(rounds):
-        labels = vote_update(g, labels, plain=True)
-        history.append(labels)
-    return history
 
 
 def multilevel_label_prop(g: WeightedGraph, params: LpParams) -> PartitionMap:

@@ -1,4 +1,4 @@
-"""Partition quality metrics and a spectral sanity check.
+"""Partition quality metrics.
 
 Edge-cut and balance are unweighted edge counts: cut edges belong to no part,
 so the maximum load counts intra-partition edges only (this makes balance
@@ -18,12 +18,6 @@ import numpy as np
 from lppart.graph import PartitionMap, WeightedGraph
 
 logger = logging.getLogger(__name__)
-
-_DENSE_LIMIT = 2048
-# the spectral-norm power iteration stops once the estimate moves by at most _POWER_TOL
-# (relative to the estimate, or absolute below 1), or after _POWER_ITERS rounds
-_POWER_TOL = 1e-12
-_POWER_ITERS = 500
 
 
 @dataclass
@@ -90,66 +84,3 @@ def build_report(g: WeightedGraph, parts: PartitionMap, k: int) -> PartitionRepo
         per_part_intra_edges=[int(x) for x in intra],
     )
 
-
-def _dense_adjacency(g: WeightedGraph) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count))
-    src = g.arc_sources()
-    a[src, g.neighbor_targets] = g.edge_weights
-    return a
-
-
-def estimate_spectral_norm(a: np.ndarray, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral norm of a symmetric matrix."""
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - est) <= _POWER_TOL * max(1.0, norm):
-            return norm
-        est = norm
-    return est
-
-
-@dataclass
-class SpectralCheckReport:
-    passed: bool
-    trials: int
-    failures: int
-    full_norm: float
-    max_ratio: float
-
-
-def spectral_submatrix_check(g: WeightedGraph, trials: int, seed: int) -> SpectralCheckReport:
-    """Check that random principal submatrices never beat the full spectral norm.
-
-    The full weighted adjacency norm is estimated by power iteration; each
-    trial draws a random node subset of size >= 2 and requires the submatrix
-    norm to stay within ``full + 1e-6``.
-    """
-    if g.node_count > _DENSE_LIMIT:
-        raise ValueError(f"graph too large for dense spectral check (> {_DENSE_LIMIT} nodes)")
-    if g.node_count < 2:
-        raise ValueError("spectral check needs at least 2 nodes")
-    a = _dense_adjacency(g)
-    full = estimate_spectral_norm(a, seed=seed)
-    rng = np.random.default_rng(seed)
-    failures = 0
-    max_ratio = 0.0
-    for _ in range(trials):
-        size = int(rng.integers(2, g.node_count + 1))
-        subset = np.sort(rng.choice(g.node_count, size=size, replace=False))
-        sub_norm = estimate_spectral_norm(a[np.ix_(subset, subset)], seed=seed)
-        if full > 0:
-            max_ratio = max(max_ratio, sub_norm / full)
-        if sub_norm > full + 1e-6:
-            failures += 1
-    return SpectralCheckReport(failures == 0, trials, failures, full, max_ratio)

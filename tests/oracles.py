@@ -1,4 +1,5 @@
-"""Reference checks the tests share: the CSR invariants of a graph and one node's neighbours."""
+"""Reference checks the tests share: the CSR invariants of a graph, one node's neighbours
+and their weights, a graph's total edge weight and one round of plain frequency voting."""
 
 import numpy as np
 
@@ -8,6 +9,31 @@ from lppart.graph import WeightedGraph
 def neighbors(g: WeightedGraph, i: int) -> np.ndarray:
     """The targets of node ``i``'s arcs, in stored order."""
     return g.neighbor_targets[g.neighbor_offsets[i]:g.neighbor_offsets[i + 1]]
+
+
+def neighbor_weights(g: WeightedGraph, i: int) -> np.ndarray:
+    """The weights of node ``i``'s arcs, in stored order."""
+    return g.edge_weights[g.neighbor_offsets[i]:g.neighbor_offsets[i + 1]]
+
+
+def total_edge_weight(g: WeightedGraph) -> float:
+    """Summed weight of the undirected edges (each is stored as two arcs)."""
+    return float(g.edge_weights.sum()) / 2.0
+
+
+def plain_vote(g: WeightedGraph, labels: np.ndarray) -> np.ndarray:
+    """One synchronous round of plain frequency voting, in a new array.
+
+    Each node takes the label most frequent among its neighbours, ties to the
+    smallest label; weights and node values are ignored, and isolated nodes
+    keep their label.
+    """
+    new = labels.copy()
+    for i in range(g.node_count):
+        labs, counts = np.unique(labels[neighbors(g, i)], return_counts=True)
+        if len(labs):
+            new[i] = labs[np.argmax(counts)]  # the first maximum: the smallest label
+    return new
 
 
 def validate_graph(g: WeightedGraph) -> None:

@@ -16,10 +16,12 @@ from lppart.coarsen import CoarseGraph, coarsen
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import PartitionMap, from_edges
 from lppart.kway import BisectConfig, cut_weight, kway_partition
-from lppart.labelprop import LpParams, multilevel_label_prop, plain_lpa, vote_update
-from lppart.metrics import balance, edge_cut, spectral_submatrix_check, std_dev
+from lppart.labelprop import LpParams, multilevel_label_prop, vote_update
+from lppart.metrics import balance, edge_cut, std_dev
 from lppart.pipeline import PartitionConfig, partition_graph, sample_subgraphs
 from lppart.seeding import derive_seed
+
+from oracles import neighbor_weights, plain_vote, total_edge_weight
 
 
 def _report(number, name, started):
@@ -92,7 +94,7 @@ def test_criterion_2_oracle_equivalence():
                            rng.uniform(0.05, 2.0, m))
             ratio = float(rng.uniform(0.1, 0.9))
             pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=0.0), 0)
-            wdeg = np.array([g.neighbor_weights(i).sum() for i in range(n)])
+            wdeg = np.array([neighbor_weights(g, i).sum() for i in range(n)])
             u, v, w = g.edge_array()
             expected = {(int(a), int(b)) for a, b, ww in zip(u, v, w)
                         if ww / wdeg[a] >= ratio or ww / wdeg[b] >= ratio}
@@ -133,8 +135,11 @@ def test_criterion_3_oscillation_vs_convergence():
     try:
         g = generate(GeneratorSpec("complete_bipartite", (8, 8)))
         # plain synchronous frequency voting flip-flops forever
-        init = np.array([0] * 8 + [1] * 8)
-        hist = plain_lpa(g, init, rounds=12)
+        labels = np.array([0] * 8 + [1] * 8)
+        hist = []
+        for _ in range(12):
+            labels = plain_vote(g, labels)
+            hist.append(labels)
         for i in range(10):
             assert np.array_equal(hist[i], hist[i + 2])
             assert not np.array_equal(hist[i], hist[i + 1])
@@ -289,8 +294,8 @@ def test_criterion_8_coarsening_conservation():
             k = int(rng.integers(1, n + 1))
             parts = PartitionMap(rng.integers(0, k, n), k)
             cg = coarsen(parts, "node", g)
-            total = cg.graph.total_edge_weight() + cg.self_loop_weight.sum()
-            assert total == pytest.approx(g.total_edge_weight(), rel=1e-9)
+            total = total_edge_weight(cg.graph) + cg.self_loop_weight.sum()
+            assert total == pytest.approx(total_edge_weight(g), rel=1e-9)
             assert cg.graph.node_values.sum() == n  # unit values: sums to |V|
     except AssertionError:
         _fail(8, name)
@@ -302,12 +307,24 @@ def test_criterion_9_submatrix_spectral_norm():
     t0 = time.perf_counter()
     name = "submatrix spectral norm"
     try:
+        # no principal submatrix of the weighted adjacency has a larger spectral norm
         g = generate(GeneratorSpec("random_weighted", (64, 512, 0.1, 1.0), seed=9))
-        report = spectral_submatrix_check(g, trials=100, seed=9)
-        print(f"  full norm {report.full_norm:.6f}, max subnorm ratio {report.max_ratio:.6f}")
-        assert report.trials == 100
-        assert report.failures == 0
-        assert report.passed
+        n = g.node_count
+        a = np.zeros((n, n))
+        a[g.arc_sources(), g.neighbor_targets] = g.edge_weights
+
+        def norm(m):
+            return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+        full = norm(a)
+        rng = np.random.default_rng(9)
+        ratios = []
+        for _ in range(100):
+            subset = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            sub = norm(a[np.ix_(subset, subset)])
+            assert sub <= full + 1e-6
+            ratios.append(sub / full)
+        print(f"  full norm {full:.6f}, max subnorm ratio {max(ratios):.6f}")
     except AssertionError:
         _fail(9, name)
         raise

@@ -79,6 +79,24 @@ def test_metrics_on_single_part_assignment(tmp_path):
     assert json.loads(_read(report))["edge_cut_ratio"] == 0.0
 
 
+def test_metrics_scores_only_parts_that_hold_a_node(tmp_path, capsys):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("1\t2\n2\t3\n3\t4\n")  # a 4-node path split 2 + 2
+    scored = []
+    for hi in (1, 5):
+        parts = tmp_path / f"p{hi}.tsv"
+        report = tmp_path / f"r{hi}.json"
+        parts.write_text(f"1\t0\n2\t0\n3\t{hi}\n4\t{hi}\n")
+        assert run(["metrics", "--input", str(graph), "--parts", str(parts),
+                    "--json", str(report)]) == 0
+        scored.append((capsys.readouterr().out, json.loads(_read(report))))
+        del scored[-1][1]["wall_times_ms"]
+    assert scored[0] == scored[1]
+    out, report = scored[0]
+    assert out == "edge_cut_ratio=0.333333 bal=0.666667 std=0.000000 k=2\n"
+    assert report["per_part_nodes"] == [2, 2]
+
+
 def test_coarsen_subcommand_writes_both_files(tmp_path):
     graph = tmp_path / "g.tsv"
     parts = tmp_path / "p.tsv"
@@ -90,6 +108,19 @@ def test_coarsen_subcommand_writes_both_files(tmp_path):
     assert _read(out) == "0\t1\t0.7\n"
     values = _read(tmp_path / "coarse.tsv.values").strip().split("\n")
     assert values[0].split("\t")[:2] == ["0", "2"]
+
+
+def test_coarse_self_loop_column_stays_float_without_intra_part_edges(tmp_path):
+    graph = tmp_path / "g.tsv"
+    parts = tmp_path / "p.tsv"
+    out = tmp_path / "coarse.tsv"
+    assert run(["gen", "--model", "complete_bipartite(3,3)", "--out", str(graph)]) == 0
+    ids = sorted({int(x) for line in _read(graph).split("\n") if line
+                  for x in line.split("\t")[:2]})
+    parts.write_text("".join(f"{i}\t{int(n >= 3)}\n" for n, i in enumerate(ids)))
+    assert run(["coarsen", "--input", str(graph), "--parts", str(parts),
+                "--out", str(out)]) == 0
+    assert _read(tmp_path / "coarse.tsv.values") == "0\t3\t0.0\n1\t3\t0.0\n"
 
 
 def test_refine_and_pagerank_subcommands(tmp_path):
@@ -137,6 +168,32 @@ def test_features_aggregate_and_concat(tmp_path):
     rows = _read(joined).strip().split("\n")
     assert rows[0] == "#dim 4"
     assert rows[1].split("\t") == ["0", "1.0", "2.0", "2.0", "3.0"]
+
+
+def _concat(tmp_path, global_text):
+    feats = tmp_path / "f.tsv"
+    parts = tmp_path / "p.tsv"
+    glob = tmp_path / "g.tsv"
+    joined = tmp_path / "joined.tsv"
+    feats.write_text("1\t1.0\n2\t2.0\n3\t3.0\n4\t4.0\n")
+    parts.write_text("1\t0\n2\t0\n3\t1\n4\t1\n")
+    glob.write_text(global_text)
+    code = run(["features", "concat", "--features", str(feats), "--global", str(glob),
+                "--parts", str(parts), "--out", str(joined)])
+    return code, (_read(joined) if code == 0 else None)
+
+
+def test_features_concat_joins_global_rows_by_part_id(tmp_path):
+    code, joined = _concat(tmp_path, "1\t100.0\n0\t200.0\n")
+    assert code == 0
+    assert joined == ("#dim 2\n1\t1.0\t200.0\n2\t2.0\t200.0\n"
+                      "3\t3.0\t100.0\n4\t4.0\t100.0\n")
+
+
+def test_features_concat_rejects_a_part_without_a_global_row(tmp_path, capsys):
+    code, _ = _concat(tmp_path, "7\t100.0\n9\t200.0\n")
+    assert code == 1
+    assert capsys.readouterr().err == "error: global feature table has no row for part 0\n"
 
 
 def test_exit_codes():

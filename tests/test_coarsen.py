@@ -6,6 +6,8 @@ import pytest
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.graph import PartitionMap, from_edges
 
+from oracles import total_edge_weight
+
 
 def _appendix_style_graph():
     """Two groups: five nodes valued 5,5,4,7,5 and two nodes valued 3,2,
@@ -59,8 +61,8 @@ def test_mass_conservation_on_random_instances():
         k = int(rng.integers(1, n + 1))
         parts = PartitionMap(rng.integers(0, k, n), k)
         cg = coarsen(parts, "node", g)
-        total = cg.graph.total_edge_weight() + cg.self_loop_weight.sum()
-        assert total == pytest.approx(g.total_edge_weight(), rel=1e-9)
+        total = total_edge_weight(cg.graph) + cg.self_loop_weight.sum()
+        assert total == pytest.approx(total_edge_weight(g), rel=1e-9)
         assert cg.graph.node_values.sum() == g.node_values.sum()
         by_edge = coarsen(parts, "edge", g)
         assert by_edge.graph.node_values.sum() == g.node_count

@@ -14,7 +14,7 @@ from lppart.kway import (BisectConfig, InfeasibleError, _rebalance, _refine, cut
                          heavy_edge_clustering, kway_partition)
 from lppart.seeding import edge_uniform
 
-from oracles import neighbors
+from oracles import neighbor_weights, neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ def _pointers_reference(g, seed, max_mass):
     ptr = []
     for u in range(g.node_count):
         best = ((-math.inf,), u)
-        for v, w in zip(neighbors(g, u).tolist(), g.neighbor_weights(u)):
+        for v, w in zip(neighbors(g, u).tolist(), neighbor_weights(g, u)):
             h = edge_uniform(seed, 0, np.array([u]), np.array([v]))[0]
             key = (w / (vals[u] * vals[v]), h, -v)
             if vals[u] + vals[v] <= max_mass and key > best[0]:
@@ -228,7 +228,7 @@ def _best_moves_reference(g, parts, nodes, room):
     dest, saving = [], []
     for u in nodes:
         conn = np.zeros(len(room))
-        for v, w in zip(neighbors(g, u), g.neighbor_weights(u)):
+        for v, w in zip(neighbors(g, u), neighbor_weights(g, u)):
             conn[parts[v]] += w
         fit = room >= g.node_values[u]
         fit[parts[u]] = False
@@ -636,8 +636,8 @@ def _initial_side_reference(g, comp, ncomp, target0, caps, floors, seed):
     level = _bfs_levels_reference(g, max(range(n), key=lambda u: (around[u], -u)))
 
     def pull(u):  # weight to the nodes one hop closer to the start
-        return sum(w for v, w in zip(neighbors(g, u).tolist(), g.neighbor_weights(u).tolist())
-                   if level[v] == level[u] - 1)
+        pairs = zip(neighbors(g, u).tolist(), neighbor_weights(g, u).tolist())
+        return sum(w for v, w in pairs if level[v] == level[u] - 1)
 
     queue = sorted((u for u in range(n) if level[u] >= 0), key=lambda u: (level[u], -pull(u), u))
     queue += sorted((u for u in range(n) if level[u] < 0 and side[u] == 1),

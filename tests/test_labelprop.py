@@ -10,12 +10,11 @@ import pytest
 from lppart import graph, kway, labelprop
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import WeightedGraph, from_edges, induced_subgraph
-from lppart.labelprop import (LpParams, edge_retention, multilevel_label_prop, plain_lpa,
-                              vote_update)
+from lppart.labelprop import LpParams, edge_retention, multilevel_label_prop, vote_update
 from lppart.pipeline import PartitionConfig, partition_graph
 from lppart.seeding import edge_uniform, pair_hash64
 
-from oracles import neighbors
+from oracles import neighbor_weights, neighbors, plain_vote
 
 
 def _edge_set(g):
@@ -23,22 +22,19 @@ def _edge_set(g):
     return set(zip(u.tolist(), v.tolist()))
 
 
-def _vote_reference(g, labels, order, plain=False):
+def _vote_reference(g, labels, order):
     """Sequential synchronous vote used as an oracle; ``order`` must not matter."""
     new = labels.copy()
     for i in order:
         scores = {}
-        for j, w in zip(neighbors(g, i), g.neighbor_weights(i)):
+        for j, w in zip(neighbors(g, i), neighbor_weights(g, i)):
             lab = int(labels[j])
-            inc = 1.0 if plain else w / g.node_values[j]
-            scores[lab] = scores.get(lab, 0.0) + inc
+            scores[lab] = scores.get(lab, 0.0) + w / g.node_values[j]
         if not scores:
             continue
         best = max(scores.values())
         winners = sorted(lab for lab, s in scores.items() if s == best)
-        if plain:
-            new[i] = winners[0]
-        elif int(labels[i]) in winners:
+        if int(labels[i]) in winners:
             new[i] = labels[i]
         else:
             hashes = pair_hash64(np.full(len(winners), i, dtype=np.int64),
@@ -75,7 +71,7 @@ def _sorted_edge_retention(g: WeightedGraph, params: LpParams, iteration: int) -
     return from_edges(g.node_count, eu, ev, ew, node_values=g.node_values)
 
 
-def _sorted_vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = False) -> np.ndarray:
+def _sorted_vote_update(g: WeightedGraph, labels: np.ndarray) -> np.ndarray:
     """Pre-rewrite vote (5-key lexsort over all groups); oracle only."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
@@ -86,10 +82,7 @@ def _sorted_vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = Fals
 
     src = g.arc_sources()
     dst = g.neighbor_targets
-    if plain:
-        contrib = np.ones(g.arc_count, dtype=np.float64)
-    else:
-        contrib = g.edge_weights / g.node_values[dst]
+    contrib = g.edge_weights / g.node_values[dst]
     lab = labels[dst]
 
     lab_span = int(lab.max()) + 1 if len(lab) else 1
@@ -104,11 +97,8 @@ def _sorted_vote_update(g: WeightedGraph, labels: np.ndarray, plain: bool = Fals
     g_src = s_s[starts]
     g_lab = l_s[starts]
 
-    if plain:
-        pick = np.lexsort((g_lab, -scores, g_src))
-    else:
-        keep_current = (g_lab != labels[g_src]).astype(np.int8)
-        pick = np.lexsort((g_lab, pair_hash64(g_src, g_lab), keep_current, -scores, g_src))
+    keep_current = (g_lab != labels[g_src]).astype(np.int8)
+    pick = np.lexsort((g_lab, pair_hash64(g_src, g_lab), keep_current, -scores, g_src))
     first = np.concatenate(([True], g_src[pick][1:] != g_src[pick][:-1]))
     winners = pick[first]
     new_labels[g_src[winners]] = g_lab[winners]
@@ -141,7 +131,7 @@ def test_retention_matches_per_endpoint_enumeration_with_zero_bound():
         pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=0.0), iteration=0)
         wdeg = np.zeros(n)
         for i in range(n):
-            wdeg[i] = g.neighbor_weights(i).sum()
+            wdeg[i] = neighbor_weights(g, i).sum()
         expected = set()
         u, v, w = g.edge_array()
         for a, b, ww in zip(u, v, w):
@@ -256,25 +246,13 @@ def test_vote_returns_a_new_array_and_leaves_the_callers_labels():
     g = from_edges(4, [0, 1, 2], [1, 2, 3])
     for labels in (np.arange(4), np.array([3, 3, 0, 1]), [0, 0, 1, 1]):
         before = np.array(labels, copy=True)
-        for plain in (False, True):
-            out = vote_update(g, labels, plain=plain)
-            assert out is not labels and not np.shares_memory(out, labels)
-            assert out.dtype == np.int64
-            assert np.array_equal(labels, before)
+        out = vote_update(g, labels)
+        assert out is not labels and not np.shares_memory(out, labels)
+        assert out.dtype == np.int64
+        assert np.array_equal(labels, before)
     empty = from_edges(3, [], [])  # no arcs: every node keeps its label, in a copy
     labels = np.array([2, 0, 1])
     assert not np.shares_memory(vote_update(empty, labels), labels)
-
-
-def test_plain_lpa_history_entries_are_distinct_arrays():
-    g = from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0])  # 4-cycle: plain LP flip-flops
-    labels = np.array([0, 1, 0, 1])
-    hist = plain_lpa(g, labels, 4)
-    assert len(hist) == 4 and labels.tolist() == [0, 1, 0, 1]
-    for i, a in enumerate(hist):
-        assert not np.shares_memory(a, labels)
-        assert all(not np.shares_memory(a, b) for b in hist[i + 1:])
-    assert np.array_equal(hist[0], hist[2]) and not np.array_equal(hist[0], hist[1])
 
 
 def test_multilevel_determinism_and_caller_graph_untouched():
@@ -297,8 +275,11 @@ def test_multilevel_labels_compacted_to_contiguous_range():
 
 def test_plain_lpa_oscillates_on_complete_bipartite():
     g = generate(GeneratorSpec("complete_bipartite", (8, 8)))
-    init = np.array([0] * 8 + [1] * 8)
-    hist = plain_lpa(g, init, rounds=12)
+    labels = np.array([0] * 8 + [1] * 8)
+    hist = []
+    for _ in range(12):
+        labels = plain_vote(g, labels)
+        hist.append(labels)
     for i in range(10):
         assert np.array_equal(hist[i], hist[i + 2])
         assert not np.array_equal(hist[i], hist[i + 1])
@@ -324,7 +305,7 @@ def test_retention_matches_full_rule_oracle_with_random_bound():
         params = LpParams(p_ratio=0.6, p_bound=0.25, seed=trial)
         for iteration in (0, 1, 5):
             pruned = edge_retention(g, params, iteration)
-            wdeg = np.array([g.neighbor_weights(i).sum() for i in range(n)])
+            wdeg = np.array([neighbor_weights(g, i).sum() for i in range(n)])
             u, v, w = g.edge_array()
             draws = edge_uniform(params.seed, iteration, u, v)
             keep = (w / wdeg[u] >= 0.6) | (w / wdeg[v] >= 0.6) | (draws < 0.25)
@@ -392,11 +373,10 @@ def _oracle_label_sets(g, rng):
 def test_vote_matches_sort_oracle_bit_for_bit():
     for trial, g, rng in _oracle_graphs():
         for labels in _oracle_label_sets(g, rng):
-            for plain in (False, True):
-                want = _sorted_vote_update(g, labels.copy(), plain=plain)
-                got = vote_update(g, labels.copy(), plain=plain)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want), (trial, plain)
+            want = _sorted_vote_update(g, labels.copy())
+            got = vote_update(g, labels.copy())
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), trial
 
 
 def _assert_same_graph(got, want):
@@ -452,8 +432,7 @@ def _block_outputs(g, label_sets, whole):
     """Every array the row-blocked passes produce on ``g``."""
     out = []
     for labels in label_sets:
-        for plain in (False, True):
-            out.append(vote_update(g, labels.copy(), plain=plain))
+        out.append(vote_update(g, labels.copy()))
         out += kway._part_table(g, labels % 3, 3)
     for ratio, bound in ((0.5, 0.1), (0.3, 0.0), (1.0, 1.0)):
         pruned = edge_retention(g, LpParams(p_ratio=ratio, p_bound=bound), 1)

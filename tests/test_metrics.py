@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lppart.generate import GeneratorSpec, generate
 from lppart.graph import PartitionMap, from_edges
-from lppart.metrics import (balance, build_report, edge_cut, estimate_spectral_norm,
-                            intra_edge_counts, spectral_submatrix_check, std_dev)
+from lppart.metrics import balance, build_report, edge_cut, intra_edge_counts, std_dev
 
 
 def _brute_force_metrics(g, assignment, k):
@@ -113,34 +111,3 @@ def test_report_json_field_names():
     assert sum(parsed["per_part_nodes"]) == g.node_count
     assert parsed["wall_times_ms"]["partition"] == 1.5
 
-
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        n = int(rng.integers(3, 30))
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        expected = float(np.abs(np.linalg.eigvalsh(a)).max())
-        assert estimate_spectral_norm(a, seed=trial) == pytest.approx(expected, rel=1e-9)
-
-
-def test_spectral_check_block_diagonal_trivial_case():
-    g = from_edges(6, [0, 2, 4], [1, 3, 5], [1.0, 1.0, 1.0])
-    report = spectral_submatrix_check(g, trials=50, seed=5)
-    assert report.passed
-    assert report.full_norm == pytest.approx(1.0, rel=1e-9)
-    assert report.max_ratio <= 1.0 + 1e-6
-
-
-def test_spectral_check_random_weighted_graph():
-    g = generate(GeneratorSpec("random_weighted", (64, 512, 0.1, 1.0), seed=13))
-    report = spectral_submatrix_check(g, trials=100, seed=13)
-    assert report.passed
-    assert report.failures == 0
-    assert report.trials == 100
-
-
-def test_spectral_check_rejects_large_graphs():
-    g = from_edges(3000, [0], [1])
-    with pytest.raises(ValueError, match="too large"):
-        spectral_submatrix_check(g, trials=1, seed=0)
