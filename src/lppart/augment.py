@@ -67,13 +67,16 @@ def pagerank(g: WeightedGraph, params: PagerankParams = PagerankParams()) -> np.
     if n == 0:
         raise ValueError("pagerank of an empty graph is undefined")
     deg = g.degrees
-    src = g.arc_sources()
-    dst = g.neighbor_targets
+    # intp once: gathering by, or counting, int32 indices converts them on every round
+    src = g.arc_sources().astype(np.intp)
+    dst = g.neighbor_targets.astype(np.intp)
     dangling = deg == 0
+    divisor = np.where(dangling, 1, deg)  # a dangling node sends along no arc
     alpha = params.alpha
     pr = np.full(n, 1.0 / n)
     for _ in range(_PAGERANK_ROUNDS):
-        share = np.bincount(dst, weights=pr[src] / deg[src], minlength=n)
+        # one division per node: each arc reads the same quotient pr[src] / deg[src]
+        share = np.bincount(dst, weights=(pr / divisor)[src], minlength=n)
         loose = pr[dangling].sum()
         nxt = (1.0 - alpha) / n + alpha * (share + loose / n)
         if np.abs(nxt - pr).sum() < _PAGERANK_TOL:

@@ -145,6 +145,15 @@ def _cmd_partition(args) -> int:
         return 0
 
 
+def _held_parts(parts: PartitionMap) -> tuple[np.ndarray, PartitionMap]:
+    """The part ids that hold a node, ascending, and the map onto their ranks.
+
+    A partition file names part ids, not a part count: an id no node holds is no part.
+    """
+    ids, assign = np.unique(parts.assignment, return_inverse=True)
+    return ids, PartitionMap(assign, len(ids))
+
+
 def _load_graph_and_parts(input_path: str, parts_path: str):
     g, id_map = load_edge_list(input_path)
     return g, read_partition_file(parts_path, id_map)
@@ -152,9 +161,7 @@ def _load_graph_and_parts(input_path: str, parts_path: str):
 
 def _cmd_metrics(args) -> int:
     g, parts = _load_graph_and_parts(args.input, args.parts)
-    # score the part ids that hold a node, in ascending order
-    ids, assign = np.unique(parts.assignment, return_inverse=True)
-    parts = PartitionMap(assign, len(ids))
+    _, parts = _held_parts(parts)
     t0 = time.perf_counter()
     report = build_report(g, parts, parts.num_parts)
     report.wall_times_ms["metrics"] = (time.perf_counter() - t0) * 1000.0
@@ -167,8 +174,9 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_coarsen(args) -> int:
     g, parts = _load_graph_and_parts(args.input, args.parts)
+    ids, parts = _held_parts(parts)
     cg = coarsen(parts, args.mode, g)
-    write_coarse_graph(cg, args.out, args.out + ".values")
+    write_coarse_graph(cg, args.out, args.out + ".values", ids)
     logger.info("coarse graph: %d nodes / %d edges", cg.graph.node_count, cg.graph.edge_count)
     return 0
 
@@ -200,7 +208,8 @@ def _cmd_features(args) -> int:
     table, ids = read_feature_table(args.features)
     parts = read_partition_file(args.parts, IdMap(ids))
     if args.features_command == "aggregate":
-        write_feature_table(aggregate_features(parts, table, op=args.op), args.out)
+        ids, parts = _held_parts(parts)
+        write_feature_table(aggregate_features(parts, table, op=args.op), args.out, ids=ids)
     else:
         global_table, global_ids = read_feature_table(args.global_features)
         joined = concat_global(table, global_table, parts, global_ids)

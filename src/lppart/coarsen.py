@@ -17,7 +17,8 @@ from typing import IO
 
 import numpy as np
 
-from lppart.graph import PartitionMap, WeightedGraph, _merge_edges, _write_table, write_edge_list
+from lppart.graph import (IdMap, PartitionMap, WeightedGraph, _merge_edges, _write_table,
+                          write_edge_list)
 
 MODE_EDGE = "edge"
 MODE_NODE = "node"
@@ -67,8 +68,12 @@ def coarsen(parts: PartitionMap, mode: str, g: WeightedGraph) -> CoarseGraph:
 
 
 def write_coarse_graph(cg: CoarseGraph, edges_dest: str | Path | IO,
-                       values_dest: str | Path | IO) -> None:
-    """Write the coarse edge list plus a ``id<TAB>value<TAB>self_loop`` table."""
-    write_edge_list(cg.graph, edges_dest)
+                       values_dest: str | Path | IO, ids: np.ndarray | None = None) -> None:
+    """Write the coarse edge list plus a ``id<TAB>value<TAB>self_loop`` table.
+
+    ``ids[i]`` is the id written for coarse node ``i``, by default ``i``.
+    """
     values = cg.graph.node_values
-    _write_table(values_dest, (np.arange(len(values)), values), cg.self_loop_weight)
+    ids = np.arange(len(values)) if ids is None else ids
+    write_edge_list(cg.graph, edges_dest, IdMap(ids))
+    _write_table(values_dest, (ids, values), cg.self_loop_weight)

@@ -27,7 +27,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# pair keys (u * node_count + v) are packed into signed 64-bit integers
+# pair keys (u * node_count + v) are packed into signed 64-bit integers, arc targets into int32
 _MAX_NODES = 2**31
 # external node ids are stored as signed 64-bit integers
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
@@ -91,6 +91,10 @@ class WeightedGraph:
     live at ``[neighbor_offsets[i], neighbor_offsets[i + 1])`` in
     ``neighbor_targets`` / ``edge_weights``. Every undirected edge is stored
     as two arcs with identical weight; self-loop arcs are never stored.
+    Offsets and node values are int64, targets int32 (``_MAX_NODES`` bounds
+    every index below 2^31) and weights float64: 12 bytes per arc. numpy
+    gathers by an int32 index array more than twice as slowly as by an intp
+    one, so a pass that gathers by a slice of targets casts it to intp first.
     """
 
     node_count: int
@@ -113,12 +117,12 @@ class WeightedGraph:
 
     def arc_sources(self) -> np.ndarray:
         """Source index of every stored arc (parallel to neighbor_targets)."""
-        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+        return np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical undirected edges as (u, v, w) arrays with u < v, in arc order."""
         keep, counts = _arc_mask(self, lambda src, dst, w: src < dst)
-        u = np.repeat(np.arange(self.node_count, dtype=np.int64), counts)
+        u = np.repeat(np.arange(self.node_count, dtype=np.int32), counts)
         return u, self.neighbor_targets[keep], self.edge_weights[keep]
 
     def with_node_values(self, values: np.ndarray) -> "WeightedGraph":
@@ -228,7 +232,7 @@ def _arc_mask(g: WeightedGraph, rule) -> tuple[np.ndarray, np.ndarray]:
 
     def block(a, b, src):
         lo, hi = off[a], off[b]
-        kept = rule(src, g.neighbor_targets[lo:hi], g.edge_weights[lo:hi])
+        kept = rule(src, g.neighbor_targets[lo:hi].astype(np.intp), g.edge_weights[lo:hi])
         keep[lo:hi] = kept
         counts[a:b] = np.bincount(src[kept] - a, minlength=b - a)
 
@@ -305,31 +309,47 @@ def _write_table(dest: str | Path | IO, ids: tuple[np.ndarray, ...],
             fh.writelines(line % row for row in rows)
 
 
+def _pack_sort(key: np.ndarray) -> int:
+    """Sort non-negative int64 keys in place as ``key << b | position``; returns ``b``.
+
+    ``b`` is the fewest bits that hold every position. The composites are
+    unique, so numpy's default sort of them (SIMD, unstable) gives exactly
+    the stable order of the keys: a sorted composite ``c`` holds its key in
+    ``c >> b`` and its input position in the low ``b`` bits. The positions
+    are added one block at a time, so nothing but ``key`` is arc-sized.
+    Where the composites would not fit in int64, ``key`` is left as it is
+    and the result is -1.
+    """
+    n = len(key)
+    bits = max(n - 1, 0).bit_length()
+    if n and int(key.max()) >> (63 - bits):
+        return -1
+    key <<= bits
+    for start in range(0, n, _ARC_BLOCK):
+        stop = min(start + _ARC_BLOCK, n)
+        key[start:stop] |= np.arange(start, stop, dtype=np.int64)
+    key.sort()
+    return bits
+
+
 def _stable_order(key: np.ndarray) -> np.ndarray:
     """Stable argsort of non-negative int64 keys.
 
     Keys already in order (as the (node, label) keys of a first vote are)
-    give the identity at the cost of one comparison pass. Otherwise, with
-    ``b`` bits enough for every position, where ``key << b`` fits in int64,
-    each composite ``key << b | position`` is unique, so numpy's default
-    sort of the composites (SIMD, unstable) gives exactly the stable order,
-    read back as the low ``b`` bits. The positions are added one block at a
-    time. Larger keys fall back to ``np.argsort(kind="stable")``, a timsort
-    on int64.
+    give the identity at the cost of one comparison pass. Otherwise a copy
+    of the keys is sorted with their positions (``_pack_sort``), which are
+    read back as its low bits. Keys too large for that fall back to
+    ``np.argsort(kind="stable")``, a timsort on int64.
     """
     n = len(key)
     if n < 2 or not (key[1:] < key[:-1]).any():
         return np.arange(n, dtype=np.int64)
-    bits = (n - 1).bit_length()
-    if int(key.max()) >> (63 - bits) == 0:
-        order = key << bits
-        for start in range(0, n, _ARC_BLOCK):
-            stop = min(start + _ARC_BLOCK, n)
-            order[start:stop] |= np.arange(start, stop, dtype=np.int64)
-        order.sort()
-        order &= (1 << bits) - 1
-        return order
-    return np.argsort(key, kind="stable")
+    order = key.copy()
+    bits = _pack_sort(order)
+    if bits < 0:
+        return np.argsort(key, kind="stable")
+    order &= (1 << bits) - 1
+    return order
 
 
 def _run_heads(keys: np.ndarray) -> np.ndarray:
@@ -345,57 +365,91 @@ def _merge_edges(node_count: int, edges: list[np.ndarray],
 
     ``edges`` is a list ``[src, dst, w]``, emptied here once its pairs are
     keyed, so that a caller holding no other reference to the three arrays
-    frees them before the CSR build. Each pair becomes the key ``min *
-    node_count + max``. A stable sort of the keys (``_stable_order``) groups
-    parallel edges, and each group sums its weights in input order, so the
-    merged float weights depend only on the order of the input. Pairs
-    already in key order, as a filtered edge list is, skip the sort.
+    frees them as soon as they are no longer read. The endpoints may have
+    any integer dtype: each pair's key ``min * node_count + max`` is int64,
+    built in place as ``min * (node_count - 1) + src + dst``. The keys are
+    sorted in place with their positions (``_pack_sort``), and the weights
+    gathered into that order one block at a time, so parallel edges form
+    runs and each run sums its weights in input order: the merged float
+    weights depend only on the order of the input. Pairs already in key
+    order, as a filtered edge list is, skip the sort.
 
-    The sorted keys decode to the canonical pairs ``u < v``. Both arcs of
-    each pair get the key ``source << b | target`` in one array, forward
-    arcs first; the pairs are freed before these keys are sorted. The keys
-    are unique, so any sort of them gives the CSR order: their low ``b``
-    bits are the targets, and each arc takes its edge's weight. The arc
-    keys, their order and the targets (8 bytes per arc each) are the
-    merge's peak.
+    The ``m`` merged keys decode to the canonical pairs ``u < v``. Both arcs
+    of each pair get the key ``source << b | target`` in one int64 buffer,
+    forward arcs first. The keys are unique, so sorting the buffer with its
+    positions gives the CSR order. Then, one block at a time, each target is
+    read from its sorted key into the int32 targets, and each arc takes the
+    weight of its edge by position, written into the same buffer viewed as
+    float64. The merge peaks at about 32 bytes per pair: 8 for the
+    merged weights, 16 for the buffer and 8 for the targets. Where the
+    composites would not fit in int64, both sorts fall back to a stable
+    argsort and a gather, which holds 56 bytes per merged edge.
     """
     if node_count > _MAX_NODES:
         raise ValueError(f"node_count {node_count} exceeds supported maximum {_MAX_NODES}")
     src, dst, w = edges
     edges.clear()
+    key = np.minimum(src, dst, dtype=np.int64)
+    key *= max(node_count - 1, 0)
+    key += src
+    key += dst
     keep = src != dst
-    key = np.minimum(src, dst)[keep] * np.int64(node_count)
-    key += np.maximum(src, dst)[keep]
-    w = w[keep]
-    del src, dst, keep
+    del src, dst
+    if not keep.all():
+        key, w = key[keep], w[keep]
+    del keep
+    if len(key) > 1 and (key[1:] < key[:-1]).any():
+        bits = _pack_sort(key)
+        if bits < 0:
+            order = np.argsort(key, kind="stable")
+            key, w = key[order], w[order]
+            del order
+        else:
+            sorted_w = np.empty_like(w)
+            for start in range(0, len(key), _ARC_BLOCK):
+                block = key[start:start + _ARC_BLOCK]
+                sorted_w[start:start + _ARC_BLOCK] = w[block & ((1 << bits) - 1)]
+                block >>= bits
+            w = sorted_w
+            del sorted_w, block
     if len(key):
-        order = _stable_order(key)
-        key = key[order]
         starts = np.flatnonzero(_run_heads(key))
-        w = np.add.reduceat(w[order], starts)
-        del order
-        key = key[starts]
-    u, v = np.divmod(key, node_count)
-    del key
-    m = len(u)
+        if len(starts) < len(key):
+            w = np.add.reduceat(w, starts)
+            key = key[starts]
+        del starts
+    m = len(key)
     bits = max(node_count - 1, 0).bit_length()
     arcs = np.empty(2 * m, dtype=np.int64)
-    np.left_shift(u, bits, out=arcs[:m])
-    arcs[:m] |= v
-    np.left_shift(v, bits, out=arcs[m:])
-    arcs[m:] |= u
-    offsets = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
-              out=offsets[1:])
-    del u, v
-    order = _stable_order(arcs)
-    dst = arcs[order]
-    del arcs
-    dst &= (1 << bits) - 1
-    w = np.take(w, order, mode="wrap")  # position i + m is edge i's backward arc
+    for start in range(0, m, _ARC_BLOCK):
+        stop = min(start + _ARC_BLOCK, m)
+        u, v = np.divmod(key[start:stop], node_count)
+        np.left_shift(u, bits, out=arcs[start:stop])
+        arcs[start:stop] |= v
+        np.left_shift(v, bits, out=arcs[m + start:m + stop])
+        arcs[m + start:m + stop] |= u
+    del key
+    shift = _pack_sort(arcs)
+    order = None
+    if shift < 0:
+        order = np.argsort(arcs)
+        arcs = arcs[order]
+        shift = 0
+    offsets = np.empty(node_count + 1, dtype=np.int64)
+    offsets[:-1] = np.searchsorted(arcs, np.arange(node_count, dtype=np.int64) << (bits + shift))
+    offsets[-1] = 2 * m
+    dst = np.empty(2 * m, dtype=np.int32)
+    weights = arcs.view(np.float64)
+    for start in range(0, 2 * m, _ARC_BLOCK):
+        stop = min(start + _ARC_BLOCK, 2 * m)
+        block = arcs[start:stop]
+        pos = order[start:stop] if order is not None else block & ((1 << shift) - 1)
+        dst[start:stop] = (block >> shift) & ((1 << bits) - 1)
+        # position i + m is edge i's backward arc; the block is read, so its weights overwrite it
+        weights[start:stop] = np.take(w, pos, mode="wrap")
     values = (np.ones(node_count, dtype=np.int64) if node_values is None
               else np.asarray(node_values, dtype=np.int64))
-    return WeightedGraph(node_count, offsets, dst, w, values)
+    return WeightedGraph(node_count, offsets, dst, weights, values)
 
 
 def _keep_arcs(g: WeightedGraph, rule, index: np.ndarray | None = None) -> WeightedGraph:
@@ -403,10 +457,10 @@ def _keep_arcs(g: WeightedGraph, rule, index: np.ndarray | None = None) -> Weigh
 
     ``rule`` holds for both arcs of an edge or for neither, so the kept
     arcs, in their CSR order, already form a graph and nothing is sorted.
-    Without ``index`` the graph keeps every node. Otherwise ``index`` maps
-    each node of ``g`` to its index in the new graph, ascending, or to -1
-    for a node left out, and ``rule`` keeps no arc of a node left out: the
-    kept rows stay sorted once their targets are renumbered.
+    Without ``index`` the graph keeps every node. Otherwise the int32
+    ``index`` maps each node of ``g`` to its index in the new graph,
+    ascending, or to -1 for a node left out, and ``rule`` keeps no arc of a
+    node left out: the kept rows stay sorted once their targets are renumbered.
     """
     keep, counts = _arc_mask(g, rule)
     dst, values = g.neighbor_targets[keep], g.node_values
@@ -702,9 +756,11 @@ def load_edge_list(source: str | Path | IO) -> tuple[WeightedGraph, IdMap]:
     if len(bad):
         raise GraphFormatError(f"line {_line_of_row(text, bad[0])}: edge weight must be "
                                f"finite and positive, got {float(w[bad[0]])!r}")
-    # a copy, so the parsed rows are freed once the ids are numbered
+    # contiguous copies of the two strided columns of the parsed rows, which
+    # are then freed: the id numbering reads contiguous ids twice as fast
     w = w.copy()
-    del text, weights  # freed before the id numbering, which sets the load's peak memory
+    del text, weights
+    pairs = np.ascontiguousarray(pairs)
     if not len(pairs):
         raise GraphFormatError("empty input: no edges or nodes found")
     ext_ids, src, dst = _number_ids(pairs)
@@ -735,7 +791,7 @@ def induced_subgraph(g: WeightedGraph, nodes) -> tuple[WeightedGraph, IdMap]:
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise ValueError("node index out of range")
-    mark = np.full(g.node_count, -1, dtype=np.int64)
-    mark[nodes] = np.arange(len(nodes), dtype=np.int64)
+    mark = np.full(g.node_count, -1, dtype=np.int32)
+    mark[nodes] = np.arange(len(nodes), dtype=np.int32)
     sub = _keep_arcs(g, lambda src, dst, w: (mark[src] >= 0) & (mark[dst] >= 0), mark)
     return sub, IdMap(nodes)

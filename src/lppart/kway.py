@@ -75,7 +75,7 @@ def _pointers(g: WeightedGraph, seed: int, max_mass: float) -> tuple[np.ndarray,
 
     def block(a, b, src):
         lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
-        dst = g.neighbor_targets[lo:hi]
+        dst = g.neighbor_targets[lo:hi].astype(np.intp)
         ms, md = mass[src], mass[dst]
         rating = g.edge_weights[lo:hi] / (ms * md)
         rating[ms + md > max_mass] = -np.inf  # a neighbour it cannot join
@@ -148,7 +148,7 @@ def cut_weight(g: WeightedGraph, side: np.ndarray) -> float:
 def _node_arcs(off: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the arcs of ``nodes``, grouped by node in the given order,
     from their CSR ranges, and the position in ``nodes`` of each arc's source."""
-    counts = off[nodes + 1] - off[nodes]
+    counts = off[1:][nodes] - off[nodes]
     pos = np.repeat(np.arange(len(nodes)), counts)
     return (off[nodes] - np.cumsum(counts) + counts)[pos] + np.arange(len(pos)), pos
 
@@ -173,7 +173,7 @@ def _components(g: WeightedGraph) -> tuple[np.ndarray, int]:
     root next to its tree, every node then jumps to its root, until no root
     moves. Each component ends rooted at its smallest node.
     """
-    src, dst = g.arc_sources(), g.neighbor_targets
+    src, dst = g.arc_sources().astype(np.intp), g.neighbor_targets.astype(np.intp)
     root = np.arange(g.node_count, dtype=np.int64)
     while True:
         hooked = root.copy()
@@ -274,7 +274,7 @@ def _best_moves(g: WeightedGraph, parts: np.ndarray, nodes: np.ndarray,
     """
     nparts = len(room)
     sel, pos = _node_arcs(g.neighbor_offsets, nodes)
-    p = parts[g.neighbor_targets[sel]]
+    p = parts[g.neighbor_targets[sel].astype(np.intp)]
     # arcs come grouped by source and positions ascend with it, so a stable sort
     # by part sorts the keys
     order = np.argsort(p.astype(np.min_scalar_type(nparts - 1)), kind="stable")
@@ -321,7 +321,7 @@ def _part_table(g: WeightedGraph, parts: np.ndarray,
 
     def block(a, b, src):
         lo, hi = g.neighbor_offsets[a], g.neighbor_offsets[b]
-        key = (src - a) * nparts + parts[dst[lo:hi]]
+        key = (src - a) * nparts + parts[dst[lo:hi].astype(np.intp)]
         size = (b - a) * nparts
         conn[a:b] = np.bincount(key, weights=w[lo:hi], minlength=size).reshape(b - a, nparts)
         cnt[a:b] = np.bincount(key, minlength=size).reshape(b - a, nparts)
@@ -351,7 +351,8 @@ def _move_in_table(conn: np.ndarray, cnt: np.ndarray, nbrs: np.ndarray, w: np.nd
     ends moved from parts ``old`` to ``new``."""
     nparts = conn.shape[1]
     conn, cnt = conn.reshape(-1), cnt.reshape(-1)
-    was, now = nbrs * nparts + old, nbrs * nparts + new
+    row = np.multiply(nbrs, nparts, dtype=np.int64)  # int64 whatever the dtype of ``nbrs``
+    was, now = row + old, row + new
     np.subtract.at(conn, was, w)
     np.add.at(conn, now, w)
     np.subtract.at(cnt, was, 1)
@@ -418,7 +419,7 @@ def _cut_change(g: WeightedGraph, nodes: np.ndarray, parts: np.ndarray,
     """Change in the arc cut (twice the edge cut) when ``parts`` becomes
     ``target``, read from the arcs of ``nodes``: every node whose part changes."""
     arcs, pos = _node_arcs(g.neighbor_offsets, nodes)
-    a, b = nodes[pos], g.neighbor_targets[arcs]
+    a, b = nodes[pos], g.neighbor_targets[arcs].astype(np.intp)
     change = (target[a] != target[b]).astype(np.float64) - (parts[a] != parts[b])
     # an edge between two moved nodes appears here as both of its arcs, any other as one
     return float((g.edge_weights[arcs] * change * np.where(target[b] != parts[b], 1.0, 2.0)).sum())
@@ -471,7 +472,7 @@ def _refine(g: WeightedGraph, parts: np.ndarray, caps: np.ndarray, lows: np.ndar
         target = parts.copy()
         target[nodes] = dest
         arcs, pos = _node_arcs(g.neighbor_offsets, nodes)
-        a, b = nodes[pos], dst[arcs]
+        a, b = nodes[pos], dst[arcs].astype(np.intp)
         pb = np.where(rank[b] < pos, target[b], parts[b])
         gain = w[arcs] * ((pb == target[a]).astype(np.float64) - (pb == parts[a]))
         keep = np.bincount(pos, weights=gain, minlength=len(nodes)) > 0

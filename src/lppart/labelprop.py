@@ -117,7 +117,7 @@ def vote_update(g: WeightedGraph, labels: np.ndarray) -> np.ndarray:
     off = g.neighbor_offsets
 
     def vote(a, b, src):
-        dst = g.neighbor_targets[off[a]:off[b]]
+        dst = g.neighbor_targets[off[a]:off[b]].astype(np.intp)
         contrib = g.edge_weights[off[a]:off[b]] / g.node_values[dst]
         lab = labels[dst]
         order = _stable_order((src - a) * span + (lab if ranks is labels else ranks[dst]))

@@ -45,6 +45,8 @@ def validate_graph(g: WeightedGraph) -> None:
         raise ValueError("neighbor_offsets is not non-decreasing")
     if off[-1] != g.arc_count:
         raise ValueError("last offset does not equal arc count")
+    if g.neighbor_targets.dtype != np.int32:
+        raise ValueError(f"neighbor_targets is {g.neighbor_targets.dtype}, not int32")
     if len(g.edge_weights) != g.arc_count:
         raise ValueError("edge_weights length mismatch")
     if g.node_values.shape != (g.node_count,):

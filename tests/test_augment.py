@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lppart import augment
 from lppart.augment import (FeatureTable, PagerankParams, aggregate_features, concat_global,
                             lowest_pagerank_nodes, pagerank, read_feature_table,
                             refine_structure, write_feature_table)
@@ -67,6 +68,29 @@ def test_pagerank_handles_isolated_nodes():
     assert scores.sum() == pytest.approx(1.0, abs=1e-9)
     assert scores[2] == pytest.approx(scores[3])
     assert pagerank(from_edges(3, [], [])) == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
+
+
+def _per_arc_pagerank(g, alpha=0.85):
+    """``pagerank`` dividing each arc's share by its source's degree, arc by arc."""
+    n, deg = g.node_count, g.degrees
+    src, dst = g.arc_sources(), g.neighbor_targets
+    pr = np.full(n, 1.0 / n)
+    for _ in range(augment._PAGERANK_ROUNDS):
+        share = np.bincount(dst, weights=pr[src] / deg[src], minlength=n)
+        nxt = (1.0 - alpha) / n + alpha * (share + pr[deg == 0].sum() / n)
+        done = np.abs(nxt - pr).sum() < augment._PAGERANK_TOL
+        pr = nxt
+        if done:
+            break
+    return pr
+
+
+def test_pagerank_divides_once_per_node_with_the_same_bits():
+    # 300 edges over 200 nodes leave some nodes isolated
+    g = generate(GeneratorSpec("random_weighted", (200, 300, 0.1, 1.0), seed=4))
+    assert (g.degrees == 0).any()
+    for alpha in (0.85, 0.5):
+        assert np.array_equal(pagerank(g, PagerankParams(alpha)), _per_arc_pagerank(g, alpha))
 
 
 def test_pagerank_rejects_empty_graph_and_bad_params():

@@ -123,6 +123,40 @@ def test_coarse_self_loop_column_stays_float_without_intra_part_edges(tmp_path):
     assert _read(tmp_path / "coarse.tsv.values") == "0\t3\t0.0\n1\t3\t0.0\n"
 
 
+def _path_split_0_and_5(tmp_path):
+    """A 4-node path ``1-2-3-4`` split into parts 0 and 5: ids 1 to 4 hold no node."""
+    graph = tmp_path / "g.tsv"
+    parts = tmp_path / "p.tsv"
+    graph.write_text("1\t2\n2\t3\n3\t4\n")
+    parts.write_text("1\t0\n2\t0\n3\t5\n4\t5\n")
+    return graph, parts
+
+
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_coarsen_keeps_only_parts_that_hold_a_node(tmp_path, mode):
+    graph, parts = _path_split_0_and_5(tmp_path)
+    out = tmp_path / "coarse.tsv"
+    assert run(["coarsen", "--input", str(graph), "--parts", str(parts), "--mode", mode,
+                "--out", str(out)]) == 0
+    assert _read(out) == "0\t5\t1.0\n"
+    assert _read(tmp_path / "coarse.tsv.values") == "0\t2\t1.0\n5\t2\t1.0\n"
+
+
+def test_features_aggregate_keeps_only_parts_that_hold_a_node(tmp_path):
+    _, parts = _path_split_0_and_5(tmp_path)
+    feats = tmp_path / "f.tsv"
+    agg = tmp_path / "agg.tsv"
+    joined = tmp_path / "joined.tsv"
+    feats.write_text("1\t1.0\n2\t2.0\n3\t3.0\n4\t4.0\n")
+    assert run(["features", "aggregate", "--features", str(feats), "--parts", str(parts),
+                "--out", str(agg)]) == 0
+    assert _read(agg) == "#dim 1\n0\t1.5\n5\t3.5\n"
+    # concat joins the aggregate's rows by part id
+    assert run(["features", "concat", "--features", str(feats), "--global", str(agg),
+                "--parts", str(parts), "--out", str(joined)]) == 0
+    assert _read(joined) == "#dim 2\n1\t1.0\t1.5\n2\t2.0\t1.5\n3\t3.0\t3.5\n4\t4.0\t3.5\n"
+
+
 def test_refine_and_pagerank_subcommands(tmp_path):
     graph = tmp_path / "g.tsv"
     run(["gen", "--model", "random_weighted(40,120,0.1,1.0)", "--seed", "3",

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from lppart import graph
-from lppart.augment import FeatureTable, pagerank, read_feature_table, write_feature_table
+from lppart.augment import (FeatureTable, pagerank, read_feature_table, refine_structure,
+                            write_feature_table)
 from lppart.cli import run
 from lppart.coarsen import coarsen, write_coarse_graph
 from lppart.generate import GeneratorSpec, generate
 from lppart.graph import (GraphFormatError, IdMap, PartitionMap, from_edges, induced_subgraph,
                           load_edge_list, write_edge_list)
+from lppart.labelprop import LpParams, edge_retention
 from lppart.pipeline import read_partition_file, write_partition_file
 
 from oracles import validate_graph
@@ -661,3 +663,76 @@ def test_merge_edges_sums_parallel_edges_in_input_order():
         g = from_edges(3, [0, 1, 1, 0], [1, 2, 0, 1], [w[0], 5.0, w[1], w[2]])
         assert g.edge_weights.tolist() == [want, want, 5.0, 5.0]
         assert want == np.add.reduceat(np.array(w), [0])[0]
+
+
+def test_every_builder_stores_int32_targets(tmp_path):
+    g = generate(GeneratorSpec("random_weighted", (60, 240, 0.1, 1.0), seed=5))
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path)
+    parts = PartitionMap(np.arange(g.node_count) % 7, 7)
+    built = [g, from_edges(4, [0, 1, 2], [1, 2, 3]), load_edge_list(path)[0],
+             coarsen(parts, "edge", g).graph, coarsen(parts, "node", g).graph,
+             induced_subgraph(g, np.arange(0, g.node_count, 2))[0],
+             edge_retention(g, LpParams(p_ratio=0.3, p_bound=0.0), 0),
+             refine_structure(g, 0.1, mode="nodes")[0], refine_structure(g, 0.1, mode="edges")[0]]
+    built += [generate(GeneratorSpec(model, args, seed=1)) for model, args in
+              (("planted_partition", (3, 10, 0.5, 0.05)), ("complete_bipartite", (3, 4)),
+               ("ring", (9,)))]
+    for h in built:
+        validate_graph(h)
+        assert h.arc_sources().dtype == np.int32
+        assert all(a.dtype == np.int32 for a in h.edge_array()[:2])
+
+
+def _reference_merge(n, src, dst, w):
+    """``_merge_edges`` by lexsorts: parallel edges summed in input order, CSR by (source, target)."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    keep = src != dst
+    lo, hi, w = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep], w[keep]
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    heads = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    lo, hi, w = lo[heads], hi[heads], np.add.reduceat(w, heads) if len(heads) else w
+    a, b, w = np.r_[lo, hi], np.r_[hi, lo], np.r_[w, w]
+    order = np.lexsort((b, a))
+    offsets = np.r_[0, np.cumsum(np.bincount(a, minlength=n))]
+    return offsets, b[order], w[order]
+
+
+def _assert_merges_to_reference(g, n, src, dst, w):
+    offsets, targets, weights = _reference_merge(n, src, dst, w)
+    assert np.array_equal(g.neighbor_offsets, offsets)
+    assert g.neighbor_targets.dtype == np.int32 and np.array_equal(g.neighbor_targets, targets)
+    assert np.array_equal(g.edge_weights, weights)
+
+
+def test_merge_keys_stay_int64_for_int32_endpoints():
+    # min * n exceeds 2**31 from n > 46341: int32 keys would wrap
+    rng = np.random.default_rng(23)
+    n, m = 70000, 50000
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    src[:5], dst[:5] = n - 1, n - 2  # parallel edges at the top of the key range
+    w = rng.uniform(0.1, 1.0, m)
+    g64 = graph._merge_edges(n, [src, dst, w])
+    g32 = graph._merge_edges(n, [src.astype(np.int32), dst.astype(np.int32), w])
+    for a, b in ((g64.neighbor_offsets, g32.neighbor_offsets),
+                 (g64.neighbor_targets, g32.neighbor_targets),
+                 (g64.edge_weights, g32.edge_weights)):
+        assert np.array_equal(a, b)
+    _assert_merges_to_reference(g32, n, src, dst, w)
+
+
+def test_merge_falls_back_where_packed_keys_overflow(monkeypatch):
+    # pair keys below 2**44 with 20 bits of pair positions, and arc keys of
+    # 2 * 22 bits with 21 bits of arc positions, exceed 63 bits
+    n, m = 2**22, 2**19 + 2
+    rng = np.random.default_rng(29)
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    src[:4], dst[:4] = [5, 9, 5, 7], [9, 5, 9, 7]  # parallel edges and a self-loop
+    w = rng.uniform(0.1, 1.0, m)
+    packed = []
+    pack_sort = graph._pack_sort
+    monkeypatch.setattr(graph, "_pack_sort", lambda key: packed.append(pack_sort(key)) or packed[-1])
+    g = from_edges(n, src, dst, w)
+    assert packed == [-1, -1]  # both sorts took the stable argsort
+    _assert_merges_to_reference(g, n, src, dst, w)
