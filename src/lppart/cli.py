@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=thread_count(),
                    help="threads the label-propagation and k-way arc passes run on, "
                         "by default the CPUs this process may use; above 1, large "
-                        "tables parse their second half in a forked child (results "
-                        "never depend on this)")
+                        "tables are parsed and written on two cores through a "
+                        "forked child (results never depend on this)")
     p.add_argument("--min-subgraph-warn", type=int, default=30000,
                    help="warn for parts smaller than this many nodes")
     p.add_argument("--out", required=True, help="output partition TSV path")

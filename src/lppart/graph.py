@@ -12,8 +12,10 @@ from __future__ import annotations
 import contextlib
 import io
 import logging
+import mmap
 import os
 import re
+import select
 import signal
 import sys
 import threading
@@ -35,6 +37,13 @@ _ID_MIN, _ID_MAX = -2**63, 2**63 - 1
 _ROW_BLOCK = 1 << 16
 # characters from which a table read from a path parses its second half in a forked child
 _FORK_CHARS = 1 << 23
+# cells (rows times columns) from which a table write shares its rows with a forked child;
+# below about this many the fork, and the page copies it causes, cost more than it saves
+_FORK_CELLS = 1 << 18
+# cells a forked write formats on each side between two looks at the other side's progress
+_SHARE_CELLS = 1 << 13
+# bytes a forked write's rows are copied from its child at a time
+_PIPE_CHUNK = 1 << 16
 # id spans up to this many times the ids read (with repeats) are numbered through a span-sized table
 _SPAN_PER_ID = 2
 # arcs an arc pass handles at a time (whole rows, so one hub row can exceed it)
@@ -293,6 +302,9 @@ def _write_table(dest: str | Path | IO, ids: tuple[np.ndarray, ...],
     Columns are converted with ``tolist`` one block of rows at a time:
     formatting Python scalars is faster than formatting numpy scalars, and
     memory stays bounded by the block.
+
+    A table of at least ``_FORK_CELLS`` cells is written on two cores where
+    ``_can_fork()`` holds (``_share_rows``), and the text never depends on it.
     """
     n = len(ids[0])
     if any(len(c) != n for c in ids) or (values is not None and len(values) != n):
@@ -301,12 +313,104 @@ def _write_table(dest: str | Path | IO, ids: tuple[np.ndarray, ...],
     if values is not None:
         columns += list(values.T) if values.ndim == 2 else [values]
     line = "\t".join(["%s"] * len(ids) + ["%r"] * (len(columns) - len(ids))) + "\n"
+
+    def blocks(start, stop):
+        """The lines of rows ``[start, stop)``, one iterator per block of rows."""
+        for a in range(start, stop, _ROW_BLOCK):
+            # no local name keeps a block's rows alive while the next block is converted
+            yield (line % row for row in
+                   zip(*(c[a:min(a + _ROW_BLOCK, stop)].tolist() for c in columns)))
+
     with (open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path))
           else contextlib.nullcontext(dest)) as fh:
         fh.write(header)
-        for start in range(0, n, _ROW_BLOCK):
-            rows = zip(*(c[start:start + _ROW_BLOCK].tolist() for c in columns))
-            fh.writelines(line % row for row in rows)
+        done = 0
+        if len(columns) * n >= _FORK_CELLS and _can_fork():
+            done = _share_rows(fh, n, max(_SHARE_CELLS // len(columns), 1), blocks)
+        for block in blocks(done, n):
+            fh.writelines(block)
+
+
+def _share_rows(fh: IO[str], n: int, step: int, blocks) -> int:
+    """Write lines of an ``n``-row table to ``fh`` on two cores; returns the
+    first row left unwritten, the rest being the caller's to write.
+
+    ``blocks(a, b)`` gives the lines of rows ``[a, b)``, one iterator per
+    block of rows. Rows are written here from row 0 up, ``step`` at a time,
+    while a forked child (``_forked``) formats them from row ``n`` down,
+    ``step`` at a time, until it meets the rows written here, which it reads
+    from a shared counter. The halves so meet wherever the two cores' speeds
+    put them: the child's CPU may well run slower than this one. The child
+    then sends the first row it formatted and its byte count, then its
+    bytes, and once they are ready (``_ready``) they are copied to ``fh``
+    past the rows already written here (``_copy_lines``). Rows the child does
+    not deliver, all of them where the fork fails, are left to the caller.
+    """
+    with mmap.mmap(-1, 8) as shared:  # rows written here, shared with the child
+
+        def send_tail(pipe):
+            first, data = n, []
+            while first > (written := int.from_bytes(shared[:8], "little")):
+                a = max(first - step, written)
+                # ids and floats format as ASCII, so every chunk of these bytes decodes alone
+                data.append("".join(line for block in blocks(a, first) for line in block)
+                            .encode("ascii"))
+                first = a
+            pipe.write(first.to_bytes(8, "little") + sum(map(len, data)).to_bytes(8, "little"))
+            pipe.writelines(reversed(data))
+
+        with _forked(send_tail) as child:
+            if child is None:
+                return 0
+            pipe, done = child[0], 0
+            while done < n and not _ready(pipe):
+                for block in blocks(done, min(done + step, n)):
+                    fh.writelines(block)
+                done = min(done + step, n)
+                shared[:8] = done.to_bytes(8, "little")
+            head = pipe.read(16) if done < n else b""
+            if len(head) < 16:
+                return done
+            first, size = int.from_bytes(head[:8], "little"), int.from_bytes(head[8:], "little")
+            # the child stops at rows it read as written here; a torn read of the
+            # counter could only make it stop short of them
+            for block in blocks(done, first):
+                fh.writelines(block)
+            done = max(done, first)
+            return first + _copy_lines(pipe, fh, size, done - first)
+
+
+def _ready(pipe: IO[bytes]) -> bool:
+    """Whether ``pipe`` holds data or has ended, looked up without waiting."""
+    return bool(select.select([pipe], [], [], 0)[0])
+
+
+def _copy_lines(pipe: IO[bytes], fh: IO[str], size: int, skip: int) -> int:
+    """Copy to ``fh`` the ASCII lines in the next ``size`` bytes of ``pipe``
+    but the first ``skip``; returns how many lines are then accounted for,
+    the skipped ones included.
+
+    The bytes move in chunks of at most ``_PIPE_CHUNK``, and only whole
+    lines are written: where the pipe ends early, the count tells the caller
+    where to resume. With the byte count a complete copy ends without
+    waiting for the pipe to close.
+    """
+    lines, rest = 0, b""
+    while size:
+        chunk = pipe.read(min(size, _PIPE_CHUNK))
+        if not chunk:
+            break
+        size -= len(chunk)
+        chunk = rest + chunk
+        cut = chunk.rfind(b"\n") + 1
+        count = chunk.count(b"\n", 0, cut)
+        if lines + count > skip:
+            start = 0 if lines >= skip else int(
+                np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)[skip - lines - 1]) + 1
+            fh.write(chunk[start:cut].decode("ascii"))
+        lines += count
+        rest = chunk[cut:]
+    return max(lines, skip)
 
 
 def _pack_sort(key: np.ndarray) -> int:
@@ -571,9 +675,9 @@ def _loadtxt(lines, dtype: list, **kwargs) -> np.ndarray | None:
 
 
 def _can_fork() -> bool:
-    """Whether ``_loadtxt_forked`` may fork: more than one thread allowed, and
-    on Python 3.12 and later, which warn on ``fork`` in a threaded process,
-    no other thread running."""
+    """Whether a table read or write may fork (``_forked``): more than one
+    thread allowed, and on Python 3.12 and later, which warn on ``fork`` in a
+    threaded process, no other thread running."""
     if not hasattr(os, "fork") or _threads < 2:
         return False
     if sys.version_info < (3, 12):
@@ -584,6 +688,72 @@ def _can_fork() -> bool:
         return threading.active_count() == 1
 
 
+def _other_cpus() -> set[int]:
+    """The CPUs this process may use other than the one the calling thread
+    last ran on; empty where that CPU is unknown or no other one is allowed."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, "processor", is the 37th after the parenthesized command name
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError, ValueError, IndexError):  # e.g. no /proc
+        return set()
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work(pipe)`` in a forked child, ``pipe`` the write end of a new
+    pipe as a binary file, and yield ``(pipe, exited)`` here, ``pipe`` the
+    read end; yield None where the fork fails (e.g. no process or memory left
+    for the child).
+
+    The child runs on the CPUs this process may use other than the one the
+    calling thread last ran on (``_other_cpus``): left to the scheduler, a
+    short-lived child often shares its parent's CPU while another one idles,
+    and then the two halves take as long as the serial work or longer.
+    The child ends with ``os._exit``, status 0 once ``work`` returns and 1 if
+    it raises, so it never runs the caller's code or flushes its buffers.
+    ``exited()`` waits for the child and tells whether its status was 0. On
+    leaving the block the pipe is closed, and a child not yet waited for is
+    killed and reaped: no child outlives the block.
+    """
+    cpus = _other_cpus()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            if cpus:
+                os.sched_setaffinity(0, cpus)
+            with os.fdopen(w, "wb") as pipe:
+                work(pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    reaped = False
+
+    def exited() -> bool:
+        nonlocal reaped
+        reaped = True
+        return os.waitpid(pid, 0)[1] == 0
+
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            yield pipe, exited
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _loadtxt_forked(path: str | Path, text: str, dtype: list) -> np.ndarray | None:
     """``_loadtxt(path, dtype)``, the file's contents ``text``, on two cores, or
     None where that cannot be sure to give the same rows or ``text`` is
@@ -591,13 +761,12 @@ def _loadtxt_forked(path: str | Path, text: str, dtype: list) -> np.ndarray | No
 
     The head, the lines up to the first newline past the middle of ``text``,
     is parsed here with ``max_rows`` set to its line count, and the tail in a
-    forked child with ``skiprows`` set to it. ``skiprows`` counts every line
-    but ``max_rows`` only rows of data, so a head holding a blank line is
-    left to the serial parse, and so is any ``#``. The child sends its row
-    count and rows through a pipe into an array that takes the head's rows
-    too, and ends with ``os._exit``; a half that fails to parse, a short
-    read or a non-zero exit status gives None. The child is reaped before
-    this returns, killed first if its rows are not needed.
+    forked child (``_forked``) with ``skiprows`` set to it. ``skiprows``
+    counts every line but ``max_rows`` only rows of data, so a head holding a
+    blank line is left to the serial parse, and so is any ``#``. The child
+    sends its row count and rows through the pipe into an array that takes
+    the head's rows too; a failed fork, a half that fails to parse, a short
+    read or a non-zero exit status gives None.
     """
     cut = text.find("\n", len(text) // 2) + 1
     if len(text) < _FORK_CHARS or not cut or "#" in text or not _can_fork():
@@ -610,49 +779,29 @@ def _loadtxt_forked(path: str | Path, text: str, dtype: list) -> np.ndarray | No
         return None
     lines = len(ends)
     del data, ends, starts
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # e.g. no process or memory left for the child
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            rows = _loadtxt(path, dtype, skiprows=lines)
-            if rows is not None:
-                with os.fdopen(w, "wb") as pipe:
-                    pipe.write(np.int64(len(rows)).tobytes())
-                    pipe.write(rows)
-                status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
+
+    def send_tail(pipe):
+        rows = _loadtxt(path, dtype, skiprows=lines)
+        if rows is not None:
+            pipe.write(np.int64(len(rows)).tobytes())
+            pipe.write(rows)
+
+    with _forked(send_tail) as child:
+        if child is None:
+            return None
+        pipe, exited = child
         head = _loadtxt(path, dtype, max_rows=lines)
         if head is None or len(head) != lines:
             return None
-        with os.fdopen(r, "rb") as pipe:
-            r = None  # closed with the pipe
-            count = pipe.read(8)
-            if len(count) != 8:
-                return None
-            rows = np.empty(lines + int(np.frombuffer(count, np.int64)[0]), dtype)
-            rows[:lines] = head
-            del head
-            if pipe.readinto(rows[lines:]) != rows[lines:].nbytes:
-                return None
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        return rows if status == 0 else None
-    finally:
-        if r is not None:
-            os.close(r)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        count = pipe.read(8)
+        if len(count) != 8:
+            return None
+        rows = np.empty(lines + int(np.frombuffer(count, np.int64)[0]), dtype)
+        rows[:lines] = head
+        del head
+        if pipe.readinto(rows[lines:]) != rows[lines:].nbytes:
+            return None
+        return rows if exited() else None
 
 
 def _parse_columns(source: str | Path | IO, text: str, ints: int, total: int, required: int):

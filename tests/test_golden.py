@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from lppart import graph
 from lppart.cli import run
 from lppart.graph import from_edges
 from lppart.labelprop import LpParams
@@ -84,9 +85,14 @@ def test_cli_chain_outputs_match_golden_hashes(tmp_path):
     assert actual == GOLDEN
 
 
-def test_cli_chain_outputs_match_golden_hashes_on_forked_parse(tmp_path, forked_parse):
+def test_cli_chain_outputs_match_golden_hashes_on_forked_parse(tmp_path, monkeypatch,
+                                                               forked_parse):
+    copies = []
+    copy = graph._copy_lines
+    monkeypatch.setattr(graph, "_copy_lines", lambda *args: copies.append(copy(*args)) or copies[-1])
     test_cli_chain_outputs_match_golden_hashes(tmp_path)
     assert any(rows is not None for rows in forked_parse)
+    assert copies and all(copies)  # writes forked, and each child sent its rows
 
 
 def test_fallback_assignments_match_golden_hashes():

@@ -359,6 +359,20 @@ def test_forked_parse_falls_back_on_a_failed_child(tmp_path, monkeypatch, forked
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_forked_child_runs_off_its_parents_cpu(monkeypatch):
+    if not os.path.exists("/proc/thread-self/stat") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs Linux with more than one CPU allowed")
+    allowed = os.sched_getaffinity(0)
+    assert len(allowed - graph._other_cpus()) == 1 and graph._other_cpus() < allowed
+    monkeypatch.setattr(graph, "_other_cpus", lambda: {min(allowed)})
+    with graph._forked(lambda pipe: pipe.write(repr(os.sched_getaffinity(0)).encode())) as child:
+        pipe, exited = child
+        assert pipe.read() == repr({min(allowed)}).encode()
+        assert exited()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_one_thread_parses_serially(tmp_path, monkeypatch):
     monkeypatch.setattr(graph, "_FORK_CHARS", 0)
     monkeypatch.setattr(os, "fork", None)
